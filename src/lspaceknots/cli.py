@@ -62,7 +62,7 @@ def _cmd_semigroup(args) -> int:
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
     try:
-        generators = sorted(semigroup.iterated_torus_generators(knot))
+        generators = sorted(knotexpr.iterated_torus_generators(knot))
     except (NotIteratedTorus, NotLSpace):
         generators = None
     payload = {

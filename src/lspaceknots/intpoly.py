@@ -9,9 +9,10 @@ cabling pushes degrees well past machine-word comfort.
 
 Besides ring arithmetic and exact division, this module builds the
 unsymmetrized torus-knot Alexander polynomial
-(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), the cable product rule
-``inner(t^p) * torus(p, q)``, and the 0/1 power-series expansion of
-p(t)/(1 - t) whose support is the gap-set complement.
+(t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and the cable product rule
+``inner(t^p) * torus(p, q)``, and checks the L-space shape (coefficients
+alternating +1/-1 from a constant term 1).  The gap set itself is read off
+the exponents by ``semigroup.from_alexander``.
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:
     return IntPolynomial.from_terms([(exponent, coefficient)])
 
 
-def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a + b
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a * b
-
-
 def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Exact quotient a/b in Z[t]; raises NotDivisible when b does not divide a."""
     if b.is_zero:
@@ -206,27 +199,6 @@ def cable_alexander(inner: IntPolynomial, p: int, q: int) -> IntPolynomial:
     return substitute_power(inner, p) * torus_alexander(p, q)
 
 
-def alexander_function_prefix(a: IntPolynomial, bound: int) -> list[int]:
-    """Power-series coefficients of a(t)/(1 - t) through degree ``bound``.
-
-    For valid inputs every coefficient is 0 or 1 and the result is the
-    indicator vector of the induced gap-set complement; any other value
-    raises NotLSpaceShape.
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if a.coefficient(0) != 1:
-        raise NotLSpaceShape("constant term must be 1")
-    out = []
-    running = 0
-    for e in range(bound + 1):
-        running += a.coefficient(e)
-        if running not in (0, 1):
-            raise NotLSpaceShape(f"series coefficient at degree {e} is {running}, not 0 or 1")
-        out.append(running)
-    return out
-
-
 def validate_lspace_shape(a: IntPolynomial) -> None:
     """Require coefficients alternating +1/-1 from a constant term 1, and even degree."""
     if a.is_zero:
@@ -240,15 +212,6 @@ def validate_lspace_shape(a: IntPolynomial) -> None:
         raise NotLSpaceShape("the number of terms must be odd")
     if a.degree % 2 != 0:
         raise NotLSpaceShape(f"degree {a.degree} must be even")
-
-
-def to_pairs(a: IntPolynomial) -> list[list[int]]:
-    """JSON form: sorted [exponent, coefficient] pairs."""
-    return [[e, c] for e, c in a.terms]
-
-
-def from_pairs(pairs) -> IntPolynomial:
-    return IntPolynomial.from_terms((int(e), int(c)) for e, c in pairs)
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

@@ -20,6 +20,9 @@ Integer linear combinations of knots are described by a small text grammar
 ``J(k)`` abbreviates the (k, 2k-1)-cable of the trefoil T(2,3) and needs
 k >= 3; ``alex[...]`` lists dense low-to-high coefficients of a candidate
 Alexander polynomial; ``U`` is the unknot.  A leading '-' is allowed.
+``C(`` may nest at most MAX_CABLE_DEPTH deep; a deeper ``C`` raises
+ParseError at its offset.  The cap costs nothing real: every cabling stage
+that survives normalization at least doubles the genus.
 """
 
 from __future__ import annotations
@@ -29,8 +32,15 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from . import intpoly
-from .errors import ConstraintError, InvalidShape, NotIteratedTorus, ParseError
+from . import intpoly, semigroup
+from .errors import (
+    ConstraintError,
+    InvalidShape,
+    NotIteratedTorus,
+    NotLSpace,
+    NotLSpaceShape,
+    ParseError,
+)
 from .intpoly import IntPolynomial, cable_alexander, torus_alexander
 
 
@@ -189,14 +199,14 @@ def combination(pairs) -> KnotCombination:
     return KnotCombination(tuple((k, m) for k, m in acc.items() if m != 0))
 
 
-def unparse(c: KnotCombination) -> str:
-    return str(c)
+MAX_CABLE_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open 'C(' atoms
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -248,8 +258,12 @@ class _Parser:
             self.expect(")")
             return torus(p, q)
         if self.take("C"):
+            if self.depth == MAX_CABLE_DEPTH:
+                raise ParseError(f"cables nest more than {MAX_CABLE_DEPTH} deep", self.pos - 1)
             self.expect("(")
+            self.depth += 1
             inner = self.atom()
+            self.depth -= 1
             self.expect(";")
             p = self.integer()
             self.expect(",")
@@ -350,34 +364,15 @@ class Algebraicity(Enum):
     UNKNOWN = "unknown"
 
 
-def _candidate_certificate(poly: IntPolynomial) -> Certificate:
-    exps = [e for e, _ in poly.terms]
-    two_g = poly.degree
-    for i, e in enumerate(exps):
-        if e + exps[len(exps) - 1 - i] != two_g:
-            return Certificate(
-                LSpaceStatus.NOT_LSPACE,
-                "exponents are not palindromic, so gap-set duality fails",
-            )
-    bits = intpoly.alexander_function_prefix(poly, two_g)
-    elements = [s for s, bit in enumerate(bits) if bit]
-    for i, s in enumerate(elements):
-        if s < 2 * i:
-            return Certificate(
-                LSpaceStatus.NOT_LSPACE,
-                f"gap-set member {s} in position {i} is below the growth bound {2 * i}",
-            )
-    return Certificate(LSpaceStatus.CANDIDATE)
-
-
 def certify_lspace(knot: KnotExpr) -> Certificate:
     """Decide whether the expression describes an L-space knot.
 
     Torus knots and the pretzel example are certified outright.  A cable is
     certified exactly when the companion is and q >= p(2g - 1); the violated
     bound is reported otherwise.  Explicit Alexander candidates get only
-    necessary checks and are at best CANDIDATE, never CERTIFIED: the L-space
-    property is not decidable from the polynomial alone.
+    the necessary checks of the gap-set constructor (duality and growth) and
+    are at best CANDIDATE, never CERTIFIED: the L-space property is not
+    decidable from the polynomial alone.
     """
     if isinstance(knot, (Torus, Pretzel237)):
         return Certificate(LSpaceStatus.CERTIFIED)
@@ -393,7 +388,11 @@ def certify_lspace(knot: KnotExpr) -> Certificate:
             )
         return inner_cert
     if isinstance(knot, ExplicitAlexander):
-        return _candidate_certificate(knot.poly)
+        try:
+            semigroup.from_alexander(knot.poly)
+        except NotLSpaceShape as exc:
+            return Certificate(LSpaceStatus.NOT_LSPACE, str(exc))
+        return Certificate(LSpaceStatus.CANDIDATE)
     raise TypeError(f"unknown knot expression {knot!r}")
 
 
@@ -412,3 +411,22 @@ def classify_algebraic(knot: KnotExpr) -> Algebraicity:
         if q_out <= p_in * q_in * p_out:
             return Algebraicity.NOT_ALGEBRAIC
     return Algebraicity.ALGEBRAIC
+
+
+def iterated_torus_generators(knot: KnotExpr) -> set[int]:
+    """Generators of the gap-set complement of a certified iterated-torus knot.
+
+    For a tower with stages (p_1, q_1), ..., (p_m, q_m) the generators are
+    p_1*p_2*...*p_m, q_1*p_2*...*p_m, q_2*p_3*...*p_m, ..., q_{m-1}*p_m, q_m.
+    """
+    stages = tower(knot)
+    cert = certify_lspace(knot)
+    if cert.status is not LSpaceStatus.CERTIFIED:
+        raise NotLSpace(cert.reason or "expression is not a certified L-space tower")
+    out = {stages[-1][1]}
+    suffix = 1
+    for i in range(len(stages) - 1, 0, -1):
+        suffix *= stages[i][0]
+        out.add(stages[i - 1][1] * suffix)
+    out.add(stages[0][0] * suffix)
+    return out

@@ -9,6 +9,12 @@ the (i+1)th smallest member is at least 2i for i <= g.
 The cofinite representation is used instead of a generator list because the
 sets attached to non-algebraic knots need not be closed under addition and
 then have no generating set; 2g is the canonical cutoff.
+
+An L-space Alexander polynomial is t^{n_0} - t^{n_1} + ... + t^{n_{2r}} with
+n_0 = 0 and n_{2r} = 2g, and S is the support of its quotient by 1 - t, so
+the members below 2g are the runs [n_0, n_1), [n_2, n_3), ....
+``from_alexander`` is the only place that reads S off a polynomial, and the
+constructor is the only place that checks it.
 """
 
 from __future__ import annotations
@@ -18,19 +24,17 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
 
-from . import intpoly, knotexpr
+from . import intpoly
 from .errors import (
     ConstraintError,
     HypothesisViolated,
     InfiniteComplement,
     InvalidSemigroup,
     NotCoprime,
-    NotLSpace,
     NotLSpaceShape,
     Undefined,
 )
 from .intpoly import IntPolynomial
-from .knotexpr import KnotExpr, LSpaceStatus
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,16 @@ class FormalSemigroup:
 
 
 def from_alexander(d: IntPolynomial) -> FormalSemigroup:
-    """Gap-set complement of an Alexander polynomial: the support of d(t)/(1-t)."""
+    """Gap-set complement of an Alexander polynomial: the support of d(t)/(1-t).
+
+    The members below 2g are the runs between consecutive exponent pairs;
+    the constructor then checks duality and growth.
+    """
     intpoly.validate_lspace_shape(d)
-    g = d.degree // 2
-    bits = intpoly.alexander_function_prefix(d, 2 * g)
-    small = tuple(s for s in range(2 * g) if bits[s])
+    exps = [e for e, _ in d.terms]
+    small = tuple(s for lo, hi in zip(exps[::2], exps[1::2]) for s in range(lo, hi))
     try:
-        return FormalSemigroup(g, small)
+        return FormalSemigroup(d.degree // 2, small)
     except InvalidSemigroup as exc:
         raise NotLSpaceShape(str(exc)) from exc
 
@@ -131,11 +138,6 @@ def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
             if s not in sg:
                 return (x, y)
     return None
-
-
-def is_semigroup(sg: FormalSemigroup) -> bool:
-    """True when the set is closed under addition (sums >= 2g are automatic)."""
-    return closure_witness(sg) is None
 
 
 def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
@@ -214,25 +216,6 @@ def from_generators(gens) -> FormalSemigroup:
     small = [x for x in range(min(conductor, 2 * g)) if member[x]]
     small.extend(range(conductor, 2 * g))
     return FormalSemigroup(g, tuple(small))
-
-
-def iterated_torus_generators(knot: KnotExpr) -> set[int]:
-    """Generators of the gap-set complement of a certified iterated-torus knot.
-
-    For a tower with stages (p_1, q_1), ..., (p_m, q_m) the generators are
-    p_1*p_2*...*p_m, q_1*p_2*...*p_m, q_2*p_3*...*p_m, ..., q_{m-1}*p_m, q_m.
-    """
-    stages = knotexpr.tower(knot)
-    cert = knotexpr.certify_lspace(knot)
-    if cert.status is not LSpaceStatus.CERTIFIED:
-        raise NotLSpace(cert.reason or "expression is not a certified L-space tower")
-    out = {stages[-1][1]}
-    suffix = 1
-    for i in range(len(stages) - 1, 0, -1):
-        suffix *= stages[i][0]
-        out.add(stages[i - 1][1] * suffix)
-    out.add(stages[0][0] * suffix)
-    return out
 
 
 def min_nonzero(sg: FormalSemigroup) -> int:

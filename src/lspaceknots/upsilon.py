@@ -181,11 +181,6 @@ def pl_combine(terms) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(bps), value_at_zero, tuple(slopes))
 
 
-def evaluate(f: PiecewiseLinear, t) -> Fraction:
-    """Exact value of f at t in [0, 2]."""
-    return f(t)
-
-
 def jump_spectrum(f: PiecewiseLinear) -> dict[Fraction, Fraction]:
     """Derivative jump at each interior breakpoint; canonical form makes all jumps nonzero."""
     return {

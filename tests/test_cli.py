@@ -165,6 +165,15 @@ def test_parse_error_object(capsys):
     assert payload["position"] == 3
 
 
+def test_deep_cable_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "semigroup", "C(" * 1200 + "T(2,3)" + ";1,1)" * 1200)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert isinstance(payload["position"], int)
+    assert "internal" not in err
+
+
 def test_not_lspace_error_object(capsys):
     code, _, err = run(capsys, "upsilon", "C(T(2,3);2,1)")
     assert code == 1

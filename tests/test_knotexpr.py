@@ -29,8 +29,8 @@ from lspaceknots import (
     torus,
     torus_alexander,
     tower,
-    unparse,
 )
+from lspaceknots.knotexpr import MAX_CABLE_DEPTH
 
 P = IntPolynomial.from_coeffs
 
@@ -135,6 +135,16 @@ def test_parse_error_offsets():
     assert info.value.position == 7
 
 
+def test_parse_caps_cable_nesting():
+    def nested(depth):
+        return "C(" * depth + "T(2,3)" + ";1,1)" * depth
+
+    assert parse(nested(MAX_CABLE_DEPTH)).items() == ((torus(2, 3), 1),)
+    with pytest.raises(ParseError) as info:
+        parse(nested(MAX_CABLE_DEPTH + 1))
+    assert info.value.position == 2 * MAX_CABLE_DEPTH  # the first 'C' past the cap
+
+
 def test_parse_constraint_errors():
     with pytest.raises(ConstraintError):
         parse("T(4,6)")
@@ -165,8 +175,8 @@ combos = (
 
 
 @given(combos)
-def test_parse_unparse_roundtrip(comb):
-    assert parse(unparse(comb)) == comb
+def test_parse_str_roundtrip(comb):
+    assert parse(str(comb)) == comb
 
 
 # --- Alexander polynomials and genus ---------------------------------------
@@ -241,6 +251,46 @@ def test_certify_candidate_rejects_growth_failure():
 def test_certify_candidate_rejects_alpha1_bigger_than_one():
     cert = certify_lspace(explicit_alexander(P([1, 0, -1, 0, 1])))
     assert cert.status is LSpaceStatus.NOT_LSPACE
+
+
+def _alternating(gaps):
+    """1 - t^{n_1} + t^{n_2} - ... with the given positive differences n_{k+1} - n_k."""
+    exps = [0]
+    for d in gaps:
+        exps.append(exps[-1] + d)
+    return IntPolynomial(tuple((e, (-1) ** k) for k, e in enumerate(exps)))
+
+
+def _even_degree(gaps):
+    return gaps[:-1] + [gaps[-1] + 1] if sum(gaps) % 2 else gaps
+
+
+half_gaps = st.lists(st.integers(1, 4), max_size=4)
+candidates = st.one_of(
+    half_gaps.map(lambda h: h + h[::-1]),  # palindromic exponents
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4).map(
+        lambda pairs: _even_degree([d for pair in pairs for d in pair])
+    ),
+).map(_alternating)
+
+
+def _reference_rejects(d: IntPolynomial) -> bool:
+    """Non-palindromic exponents, or a member of the dense series below its growth bound."""
+    exps = [e for e, _ in d.terms]
+    if any(a + b != d.degree for a, b in zip(exps, reversed(exps))):
+        return True
+    members, running = [], 0
+    for s in range(d.degree):
+        running += d.coefficient(s)
+        if running:
+            members.append(s)
+    return any(s < 2 * i for i, s in enumerate(members))
+
+
+@given(candidates)
+def test_certify_candidate_matches_reference_checks(d):
+    expected = LSpaceStatus.NOT_LSPACE if _reference_rejects(d) else LSpaceStatus.CANDIDATE
+    assert certify_lspace(explicit_alexander(d)).status is expected
 
 
 def test_classify_trefoil_cables():

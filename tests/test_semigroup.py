@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
     FormalSemigroup,
@@ -24,13 +24,14 @@ from lspaceknots import (
     closure_witness,
     from_alexander,
     from_generators,
-    is_semigroup,
+    genus,
     iterated_torus_generators,
     jfamily,
     min_nonzero,
     to_alexander,
     torus,
     torus_alexander,
+    tower,
 )
 from lspaceknots.intpoly import ONE
 
@@ -143,17 +144,15 @@ def test_membership_and_counting():
 
 
 def test_torus_sets_are_closed():
-    assert is_semigroup(S_T37)
     assert closure_witness(S_T37) is None
 
 
 def test_pretzel_is_not_closed():
     assert closure_witness(S_P237) == (3, 3)
-    assert not is_semigroup(S_P237)
 
 
 def test_genus_zero_is_closed():
-    assert is_semigroup(FormalSemigroup(0, ()))
+    assert closure_witness(FormalSemigroup(0, ())) is None
 
 
 # --- cabling --------------------------------------------------------------------
@@ -200,10 +199,10 @@ def test_cable_semigroup_matches_alexander_route(p, offset):
 def test_closure_is_preserved_and_reflected_by_cabling():
     # closed companion -> closed cable
     closed = cable_semigroup(S_T37, 2, 23)
-    assert is_semigroup(closed)
+    assert closure_witness(closed) is None
     # non-closed companion -> non-closed cable (bound is 2*(2*5-1) = 18)
     broken = cable_semigroup(S_P237, 2, 19)
-    assert not is_semigroup(broken)
+    assert closure_witness(broken) is not None
 
 
 # --- generators ---------------------------------------------------------------
@@ -270,6 +269,42 @@ def test_iterated_torus_generators_errors():
 
     with pytest.raises(NotLSpace):
         iterated_torus_generators(Cable(torus(2, 3), 2, 1))
+
+
+# --- differential: three routes to the gap set of a certified tower -----------
+
+
+def dense_gap_set(d: IntPolynomial) -> FormalSemigroup:
+    """Independent reference: the running sum of d's coefficients below its degree."""
+    members, running = [], 0
+    for s in range(d.degree):
+        running += d.coefficient(s)
+        assert running in (0, 1)
+        if running:
+            members.append(s)
+    return FormalSemigroup(d.degree // 2, tuple(members))
+
+
+@st.composite
+def certified_towers(draw):
+    p = draw(st.integers(2, 4))
+    knot = torus(p, draw(st.integers(p + 1, 7).filter(lambda q: gcd(p, q) == 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(2, 3))
+        low = p * (2 * genus(knot) - 1)
+        knot = cable(knot, p, draw(st.integers(low, low + 4).filter(lambda q: gcd(p, q) == 1)))
+    return knot
+
+
+@settings(deadline=None)
+@given(certified_towers())
+def test_gap_set_routes_agree_on_certified_towers(knot):
+    d = alexander(knot)
+    via_cabling = FormalSemigroup(0, ())  # T(p, q) is the (p, q)-cable of the unknot
+    for p, q in tower(knot):
+        via_cabling = cable_semigroup(via_cabling, p, q)
+    via_generators = from_generators(iterated_torus_generators(knot))
+    assert from_alexander(d) == via_generators == via_cabling == dense_gap_set(d)
 
 
 # --- least nonzero member -------------------------------------------------------

@@ -15,7 +15,6 @@ from lspaceknots import (
     closure_witness,
     combination,
     envelope,
-    evaluate,
     from_alexander,
     from_generators,
     jfamily,
@@ -78,7 +77,7 @@ def test_evaluate_and_domain():
     assert UPS_T37(F(2, 3)) == -4
     assert UPS_T37(1) == -4
     assert UPS_T37(2) == 0
-    assert evaluate(UPS_T37, F(1, 3)) == -2
+    assert UPS_T37(F(1, 3)) == -2
     with pytest.raises(OutOfDomain):
         UPS_T37(F(5, 2))
 
