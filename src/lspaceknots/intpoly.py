@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import (
@@ -140,32 +141,46 @@ def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:
 
 
 def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact quotient a/b in Z[t]; raises NotDivisible when b does not divide a."""
+    """Exact quotient a/b in Z[t]; raises NotDivisible when b does not divide a.
+
+    One descending pass: a max-heap holds the live remainder exponents, and
+    an exponent whose coefficient has since cancelled is skipped when popped.
+    Every step removes the leading term and adds only lower ones.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return ZERO
     rem = dict(a.terms)
+    heap = [-e for e in rem]
+    heapify(heap)
     db = b.degree
     lb = b.leading_coefficient
-    quot: dict[int, int] = {}
-    while rem:
-        da = max(rem)
+    lower = b.terms[:-1]
+    quot = []
+    while heap:
+        da = -heappop(heap)
+        lead = rem.pop(da, 0)
+        if not lead:
+            continue
         if da < db:
             raise NotDivisible(f"remainder of degree {da} is smaller than the divisor")
-        qc, r = divmod(rem[da], lb)
+        qc, r = divmod(lead, lb)
         if r:
-            raise NotDivisible(f"leading coefficient {rem[da]} is not a multiple of {lb}")
+            raise NotDivisible(f"leading coefficient {lead} is not a multiple of {lb}")
         shift = da - db
-        quot[shift] = qc
-        for e, c in b.terms:
+        quot.append((shift, qc))
+        for e, c in lower:
             k = e + shift
-            nc = rem.get(k, 0) - qc * c
+            old = rem.get(k, 0)
+            nc = old - qc * c
             if nc:
                 rem[k] = nc
-            else:
-                rem.pop(k, None)
-    return IntPolynomial.from_terms(quot.items())
+                if not old:
+                    heappush(heap, -k)
+            elif old:
+                del rem[k]
+    return IntPolynomial(tuple(reversed(quot)))
 
 
 def substitute_power(a: IntPolynomial, p: int) -> IntPolynomial:

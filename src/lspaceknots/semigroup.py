@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from math import gcd
 
 from . import intpoly
@@ -125,18 +126,41 @@ def to_alexander(sg: FormalSemigroup) -> IntPolynomial:
 
 
 def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
-    """Lexicographically least (x, y), x <= y, with x, y members but x + y a gap."""
+    """Lexicographically least (x, y), 0 < x <= y, with x, y members but x + y a gap.
+
+    With m the least positive member, the least member y with y + m a gap
+    gives the witness (m, y).  Failing that, S + m lies in S, so S is the
+    union of the classes w_j + mN over the Apery set w (w_j the least member
+    congruent to j mod m) and s is a member exactly when s >= w_{s mod m}.
+    A witness (x, y) with x - m a positive member yields the smaller witness
+    (x - m, y), so the least one has x = w_i for some i != 0.  For that x and
+    each residue j, the least member y >= x in the class of j is the only
+    candidate there, since adding m to y keeps x + y in the same class; it is
+    a witness exactly when x + y < w_{(x+y) mod m}.  The cost is O(g + m^2).
+    """
+    if sg.genus == 0:
+        return None
     two_g = 2 * sg.genus
-    small = sg.small_elements
-    for i, x in enumerate(small):
-        if x == 0:
-            continue
-        for y in small[i:]:
-            s = x + y
-            if s >= two_g:
-                break
-            if s not in sg:
-                return (x, y)
+    m = min_nonzero(sg)
+    for y in sg.small_elements[1:]:
+        if y + m >= two_g:
+            break
+        if y + m not in sg:
+            return (m, y)
+    apery = [None] * m
+    for s in chain(sg.small_elements, range(two_g, two_g + m)):
+        if apery[s % m] is None:
+            apery[s % m] = s
+    for x in sorted(apery[1:]):
+        if 2 * x >= two_g:
+            break  # x + y >= 2x is then a member
+        best = None
+        for w in apery:
+            y = w if w >= x else x + (w - x) % m
+            if x + y < apery[(x + y) % m] and (best is None or y < best):
+                best = y
+        if best is not None:
+            return (x, best)
     return None
 
 

@@ -4,16 +4,23 @@ A function is stored as strictly increasing rational breakpoints running
 from 0 to 2, the value at 0, and one rational slope per segment; continuity
 is built in because values are always derived from the left.  Equal adjacent
 slopes are merged on construction, so equality of canonical forms is plain
-structural equality.  All arithmetic uses fractions.Fraction; no floating
-point enters anywhere.
+structural equality.  All arithmetic uses ints and fractions.Fraction; no
+floating point enters anywhere.
 
 The upsilon function of an L-space knot with gap-set complement S and genus
-g is the upper envelope of the 2g + 1 lines
+g is the maximum over [0, 2] of the lines
 
     y = -2 #(S intersect [0, m)) - t (g - m),        m = 0, ..., 2g.
 
-Because the slopes m - g are consecutive integers the envelope is built by a
-single convex sweep over the slope-sorted lines.
+On [0, 2] most of them never reach the maximum.  When m - 1 is a member the
+line through m lies 2 - t >= 0 below the line through m - 1, and when m - 1
+is a gap it lies t >= 0 above it.  So inside a run of members only the first
+line counts, and inside a run of gaps each line is dominated by the next,
+up to the member that starts the following run.  The envelope therefore
+needs only the run starts: m = 0, every member m with m - 1 a gap, and
+m = 2g, which are the exponents of the positive terms of the Alexander
+polynomial.  The envelope itself is a single convex sweep over the
+slope-sorted lines.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import knotexpr, semigroup
+from . import intpoly, knotexpr, semigroup
 from .errors import ConstraintError, NotLSpace, OutOfDomain
 from .knotexpr import KnotCombination, KnotExpr, LSpaceStatus
 from .semigroup import FormalSemigroup
@@ -121,41 +128,44 @@ ZERO = PiecewiseLinear((0, 2), 0, (0,))
 
 
 def envelope(lines) -> PiecewiseLinear:
-    """Pointwise maximum over [0, 2] of lines given as (slope, intercept) pairs."""
-    best: dict[Fraction, Fraction] = {}
+    """Pointwise maximum over [0, 2] of lines given as int or Fraction (slope, intercept) pairs.
+
+    Crossing points are compared by cross-multiplying the raw slopes and
+    intercepts, so integer lines stay in integer arithmetic; a Fraction is
+    made only for each breakpoint of the result.
+    """
+    best = {}
     for slope, intercept in lines:
-        slope, intercept = Fraction(slope), Fraction(intercept)
         if slope not in best or intercept > best[slope]:
             best[slope] = intercept
     if not best:
         raise ConstraintError("the envelope of no lines is undefined")
-    # convex sweep: hull entries are (slope, intercept, start), where start is
-    # the abscissa from which the line realizes the maximum (None = -infinity)
-    hull: list[tuple[Fraction, Fraction, Fraction | None]] = []
+    # convex sweep: hull entries are (slope, intercept, num, den), where the
+    # line realizes the maximum from num/den on; den > 0, or den == 0 for -infinity
+    hull = []
     for slope in sorted(best):
         intercept = best[slope]
         while hull:
-            s0, b0, start0 = hull[-1]
-            x = (b0 - intercept) / (slope - s0)
-            if start0 is None or x > start0:
-                hull.append((slope, intercept, x))
+            s0, b0, num0, den0 = hull[-1]
+            num, den = b0 - intercept, slope - s0
+            if not den0 or num * den0 > num0 * den:
+                hull.append((slope, intercept, num, den))
                 break
             hull.pop()
         else:
-            hull.append((slope, intercept, None))
+            hull.append((slope, intercept, 0, 0))
     bps = [Fraction(0)]
     slopes = []
     value_at_zero = None
-    for i, (slope, intercept, start) in enumerate(hull):
-        end = hull[i + 1][2] if i + 1 < len(hull) else None
-        if start is not None and start >= TWO:
-            break
-        if end is not None and end <= 0:
-            continue
+    for i, (slope, intercept, num, den) in enumerate(hull):
+        if den and num >= 2 * den:
+            break  # starts at or after t = 2
+        if i + 1 < len(hull) and hull[i + 1][2] <= 0:
+            continue  # ends at or before t = 0
         if value_at_zero is None:
             value_at_zero = intercept  # first active line covers t = 0
-        if start is not None and start > 0:
-            bps.append(start)
+        if den and num > 0:
+            bps.append(Fraction(num, den))
         slopes.append(slope)
     bps.append(TWO)
     return PiecewiseLinear(tuple(bps), value_at_zero, tuple(slopes))
@@ -189,14 +199,11 @@ def jump_spectrum(f: PiecewiseLinear) -> dict[Fraction, Fraction]:
 
 
 def upsilon_from_semigroup(sg: FormalSemigroup) -> PiecewiseLinear:
-    """Upsilon as the upper envelope of the member-count lines of the gap set."""
+    """Upsilon as the upper envelope of the member-count lines through the run starts."""
     g = sg.genus
-    lines = []
-    count = 0
-    for m in range(2 * g + 1):
-        if m > 0 and (m - 1) in sg:
-            count += 1
-        lines.append((m - g, -2 * count))
+    small = sg.small_elements
+    lines = [(s - g, -2 * i) for i, s in enumerate(small) if i == 0 or small[i - 1] != s - 1]
+    lines.append((g, -2 * g))  # m = 2g, the only line when g = 0
     return envelope(lines)
 
 
@@ -205,7 +212,7 @@ def torus_consecutive_upsilon(n: int) -> PiecewiseLinear:
     """Upsilon of the (n, n+1) torus knot; its jumps are n at each 2i/n, 0 < i < n."""
     if n < 2:
         raise ConstraintError(f"consecutive torus knots need n >= 2, got {n}")
-    return upsilon_from_semigroup(semigroup.from_generators({n, n + 1}))
+    return upsilon_from_semigroup(semigroup.from_alexander(intpoly.torus_alexander(n, n + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,32 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from math import gcd
+
+from hypothesis import strategies as st
+
+from lspaceknots import FormalSemigroup, InvalidSemigroup, cable, genus, torus
+
+
+@st.composite
+def formal_semigroups(draw, max_genus=40):
+    """A genus g in 1..max_genus and one of s, 2g-1-s for each s < g, redrawn until the constructor accepts it."""
+    g = draw(st.integers(1, max_genus))
+    rng = draw(st.randoms(use_true_random=False))
+    while True:
+        small = tuple(rng.choice((s, 2 * g - 1 - s)) for s in range(g))
+        try:
+            return FormalSemigroup(g, small)
+        except InvalidSemigroup:
+            continue
+
+
+@st.composite
+def certified_towers(draw):
+    """T(p, q) cabled 0-2 times with q at most 4 above the L-space bound p(2g-1)."""
+    p = draw(st.integers(2, 4))
+    knot = torus(p, draw(st.integers(p + 1, 7).filter(lambda q: gcd(p, q) == 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(2, 3))
+        low = p * (2 * genus(knot) - 1)
+        knot = cable(knot, p, draw(st.integers(low, low + 4).filter(lambda q: gcd(p, q) == 1)))
+    return knot

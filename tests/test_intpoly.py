@@ -13,11 +13,14 @@ from lspaceknots import (
     NotDivisible,
     NotLSpaceShape,
     ParseError,
+    Verdict,
+    algebraicity_report,
     cable_alexander,
     from_alexander,
     parse_polynomial,
     poly_exact_div,
     substitute_power,
+    torus,
     torus_alexander,
 )
 from lspaceknots.intpoly import ONE, ZERO, validate_lspace_shape
@@ -99,6 +102,29 @@ def test_exact_div_remainder_raises():
 def test_exact_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         poly_exact_div(ONE, ZERO)
+
+
+def test_exact_div_remainder_found_deep_in_the_pass():
+    divisor = P([1, 0, 1])
+    num = divisor * P([1] * 51) + P([0, 1])  # remainder t, below the divisor's degree
+    with pytest.raises(NotDivisible, match="remainder of degree 1 is smaller"):
+        poly_exact_div(num, divisor)
+
+
+def test_exact_div_non_multiple_leading_coefficient_deep_in_the_pass():
+    divisor = P([2, 2])  # leading coefficient 2
+    num = divisor * P([1] * 50) + IntPolynomial(((20, 1),))
+    with pytest.raises(NotDivisible, match="leading coefficient 3 is not a multiple of 2"):
+        poly_exact_div(num, divisor)
+
+
+def test_torus_2_20001_is_alternating():
+    d = torus_alexander(2, 20001)
+    assert d.terms == tuple((e, (-1) ** e) for e in range(20001))
+
+
+def test_report_torus_150_151_is_algebraic():
+    assert algebraicity_report(torus(150, 151)).verdict is Verdict.ALGEBRAIC
 
 
 def test_substitute_power_scales_exponents():

@@ -24,7 +24,6 @@ from lspaceknots import (
     closure_witness,
     from_alexander,
     from_generators,
-    genus,
     iterated_torus_generators,
     jfamily,
     min_nonzero,
@@ -34,6 +33,7 @@ from lspaceknots import (
     tower,
 )
 from lspaceknots.intpoly import ONE
+from strategies import certified_towers, formal_semigroups
 
 P = IntPolynomial.from_coeffs
 
@@ -153,6 +153,35 @@ def test_pretzel_is_not_closed():
 
 def test_genus_zero_is_closed():
     assert closure_witness(FormalSemigroup(0, ())) is None
+
+
+def dense_closure_witness(sg):
+    """Reference: every pair 0 < x <= y of members in lexicographic order, summing below 2g."""
+    two_g = 2 * sg.genus
+    for x in range(1, two_g):
+        if x in sg:
+            for y in range(x, two_g - x):
+                if y in sg and x + y not in sg:
+                    return (x, y)
+    return None
+
+
+@given(formal_semigroups())
+def test_closure_witness_matches_dense_pair_scan(sg):
+    assert closure_witness(sg) == dense_closure_witness(sg)
+
+
+def test_closure_witness_past_the_least_member():
+    # S + 4 lies in S, so the witness comes from the Apery set {0, 5, 14, 19} of 4
+    apery_4 = FormalSemigroup(8, (0, 4, 5, 8, 9, 12, 13, 14))
+    assert closure_witness(apery_4) == dense_closure_witness(apery_4) == (5, 5)
+    apery_6 = FormalSemigroup(12, (0, 6, 7, 8, 12, 13, 14, 18, 19, 20, 21, 22))
+    assert closure_witness(apery_6) == dense_closure_witness(apery_6) == (7, 8)
+    # for x = 10 both y = 15 (residue 3) and y = 10 (residue 4) are witnesses; the least wins
+    two_ys = FormalSemigroup(
+        18, (0, 6, 10, 12, 15, 16, 18, 21, 22, 24, 26, 27, 28, 30, 31, 32, 33, 34)
+    )
+    assert closure_witness(two_ys) == dense_closure_witness(two_ys) == (10, 10)
 
 
 # --- cabling --------------------------------------------------------------------
@@ -283,17 +312,6 @@ def dense_gap_set(d: IntPolynomial) -> FormalSemigroup:
         if running:
             members.append(s)
     return FormalSemigroup(d.degree // 2, tuple(members))
-
-
-@st.composite
-def certified_towers(draw):
-    p = draw(st.integers(2, 4))
-    knot = torus(p, draw(st.integers(p + 1, 7).filter(lambda q: gcd(p, q) == 1)))
-    for _ in range(draw(st.integers(0, 2))):
-        p = draw(st.integers(2, 3))
-        low = p * (2 * genus(knot) - 1)
-        knot = cable(knot, p, draw(st.integers(low, low + 4).filter(lambda q: gcd(p, q) == 1)))
-    return knot
 
 
 @settings(deadline=None)

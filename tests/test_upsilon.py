@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
     FormalSemigroup,
     OutOfDomain,
     PiecewiseLinear,
     UNKNOT,
+    alexander,
     cable_semigroup,
     closure_witness,
     combination,
@@ -30,6 +31,7 @@ from lspaceknots import (
     upsilon_of_knot,
 )
 from lspaceknots.upsilon import ZERO
+from strategies import certified_towers, formal_semigroups
 
 F = Fraction
 
@@ -40,12 +42,13 @@ UPS_J3 = upsilon_of_knot(jfamily(3))
 
 
 def semigroup_lines(sg):
+    """All 2g + 1 member-count lines (m - g, -2 #(S intersect [0, m))), m = 0..2g."""
     count = 0
     lines = []
     for m in range(2 * sg.genus + 1):
         if m > 0 and (m - 1) in sg:
             count += 1
-        lines.append((F(m - sg.genus), F(-2 * count)))
+        lines.append((m - sg.genus, -2 * count))
     return lines
 
 
@@ -115,6 +118,51 @@ def test_envelope_matches_pointwise_max(lines, t):
     assert f(t) == max(F(m) * t + F(b) for m, b in lines)
 
 
+def assert_is_pointwise_max(f, lines):
+    """f equals max(slope * t + intercept) at every breakpoint and segment midpoint.
+
+    The maximum is convex, so agreeing with a linear segment at its ends and
+    its midpoint makes it that segment throughout.
+    """
+    bps = f.breakpoints
+    for t in bps + tuple((a + b) / 2 for a, b in zip(bps, bps[1:])):
+        n, d = t.numerator, t.denominator  # scaled by d, integer lines stay integer
+        assert f(t) == F(max(slope * n + intercept * d for slope, intercept in lines)) / d
+
+
+numbers = st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-12, max_value=12, max_denominator=6)
+)
+
+
+@st.composite
+def line_sets(draw):
+    """Int and Fraction lines plus repeated and parallel copies of some of them."""
+    lines = draw(st.lists(st.tuples(numbers, numbers), min_size=1, max_size=10))
+    for slope, intercept in draw(st.lists(st.sampled_from(lines), max_size=3)):
+        lines.append((slope, intercept))
+        lines.append((slope, intercept + draw(st.integers(-5, 5))))
+    return draw(st.permutations(lines))
+
+
+@given(line_sets())
+def test_envelope_matches_pointwise_max_at_every_breakpoint(lines):
+    assert_is_pointwise_max(envelope(lines), lines)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [(-3, -20), (-1, 0), (2, 10)],  # every crossing left of 0
+        [(-2, 0), (0, -5), (1, -9)],  # every crossing right of 2
+        [(-3, -20), (-1, 0), (0, -1), (4, -10), (6, -20)],  # crossings at -10, 1, 9/4, 5
+        [(1, 0), (1, 0), (F(1), F(-1)), (-1, 0), (F(-1), F(0))],  # ties and parallels
+    ],
+)
+def test_envelope_with_crossings_outside_the_domain(lines):
+    assert_is_pointwise_max(envelope(lines), lines)
+
+
 # --- upsilon from gap sets ------------------------------------------------------
 
 
@@ -136,6 +184,18 @@ def test_upsilon_agrees_with_direct_maximum(ab, t):
     g = sg.genus
     direct = max(-2 * sg.count_below(m) - t * (g - m) for m in range(2 * g + 1))
     assert upsilon_from_semigroup(sg)(t) == direct
+
+
+@given(formal_semigroups())
+def test_upsilon_of_formal_semigroup_is_max_of_all_lines(sg):
+    assert_is_pointwise_max(upsilon_from_semigroup(sg), semigroup_lines(sg))
+
+
+@settings(deadline=None)
+@given(certified_towers())
+def test_upsilon_of_certified_tower_is_max_of_all_lines(knot):
+    sg = from_alexander(alexander(knot))
+    assert_is_pointwise_max(upsilon_from_semigroup(sg), semigroup_lines(sg))
 
 
 @given(coprime_pairs)
