@@ -14,8 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import intpoly, knotexpr, obstruct, semigroup, upsilon, verify
-from .errors import ConstraintError, DomainError, NotIteratedTorus, NotLSpace, ParseError
+from . import intpoly, knotexpr, obstruct, semigroup, upsilon
+from .errors import ConstraintError, DomainError, NotIteratedTorus, ParseError
 from .knotexpr import KnotCombination, KnotExpr
 
 OBSTRUCTION_STATEMENTS = {
@@ -59,11 +59,12 @@ def _print_csv(rows):
 
 def _cmd_semigroup(args) -> int:
     knot = _single_knot(_parse_knot(args.knot))
+    knotexpr.require_lspace(knot)
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
     try:
         generators = sorted(knotexpr.iterated_torus_generators(knot))
-    except (NotIteratedTorus, NotLSpace):
+    except NotIteratedTorus:
         generators = None
     payload = {
         "knot": str(knot),
@@ -267,6 +268,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # the suite costs import time no other subcommand needs
+
     ok = verify.run_checks(args.filter)
     return 0 if ok else 1
 

@@ -17,11 +17,11 @@ the exponents by ``semigroup.from_alexander``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from ._record import frozen
 from .errors import (
     ConstraintError,
     NotCoprime,
@@ -31,7 +31,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class IntPolynomial:
     """Sparse polynomial over Z: sorted (exponent, coefficient) pairs, no zeros."""
 

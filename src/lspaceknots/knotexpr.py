@@ -27,12 +27,12 @@ that survives normalization at least doubles the genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
 
 from . import intpoly, semigroup
+from ._record import frozen
 from .errors import (
     ConstraintError,
     InvalidShape,
@@ -50,7 +50,7 @@ class KnotExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Torus(KnotExpr):
     p: int
     q: int
@@ -72,7 +72,7 @@ class Torus(KnotExpr):
         return "U" if self.p == 1 else f"T({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
+@frozen
 class Cable(KnotExpr):
     inner: KnotExpr
     p: int
@@ -96,7 +96,7 @@ class Cable(KnotExpr):
         return f"C({self.inner};{self.p},{self.q})"
 
 
-@dataclass(frozen=True)
+@frozen
 class ExplicitAlexander(KnotExpr):
     poly: IntPolynomial
 
@@ -107,7 +107,7 @@ class ExplicitAlexander(KnotExpr):
         return "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
 
 
-@dataclass(frozen=True)
+@frozen
 class Pretzel237(KnotExpr):
     """The (-2, 3, 7) pretzel knot, carried as a fixed example."""
 
@@ -153,7 +153,7 @@ def explicit_alexander(poly: IntPolynomial) -> ExplicitAlexander:
     return ExplicitAlexander(poly)
 
 
-@dataclass(frozen=True)
+@frozen
 class KnotCombination:
     """Canonical integer linear combination: merged terms, no zero multiplicities."""
 
@@ -352,7 +352,7 @@ class LSpaceStatus(Enum):
     NOT_LSPACE = "not-lspace"
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     status: LSpaceStatus
     reason: str | None = None
@@ -394,6 +394,17 @@ def certify_lspace(knot: KnotExpr) -> Certificate:
             return Certificate(LSpaceStatus.NOT_LSPACE, str(exc))
         return Certificate(LSpaceStatus.CANDIDATE)
     raise TypeError(f"unknown knot expression {knot!r}")
+
+
+def require_lspace(knot: KnotExpr) -> Certificate:
+    """The certificate of ``knot``; raises NotLSpace when it is NOT_LSPACE.
+
+    The one gate in front of every invariant that assumes an L-space knot.
+    """
+    cert = certify_lspace(knot)
+    if cert.status is LSpaceStatus.NOT_LSPACE:
+        raise NotLSpace(cert.reason or f"{knot} is not an L-space knot")
+    return cert
 
 
 def classify_algebraic(knot: KnotExpr) -> Algebraicity:

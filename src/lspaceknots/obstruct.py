@@ -21,13 +21,13 @@ with unit diagonal, certifying independence at any finite truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import knotexpr, semigroup, upsilon
-from .errors import ConstraintError, DomainError, NotLSpace
-from .knotexpr import Algebraicity, Certificate, KnotExpr, LSpaceStatus
+from ._record import frozen
+from .errors import ConstraintError, DomainError
+from .knotexpr import Algebraicity, Certificate, KnotExpr
 from .upsilon import PiecewiseLinear, jump_spectrum, pl_combine, torus_consecutive_upsilon
 
 TWO = Fraction(2)
@@ -38,7 +38,7 @@ class DecompositionFailure(Enum):
     RESIDUAL_NONZERO = "residual-nonzero"
 
 
-@dataclass(frozen=True)
+@frozen
 class Decomposition:
     """Outcome of expanding a function in the consecutive-torus upsilon basis.
 
@@ -105,7 +105,7 @@ def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class JumpComparison:
     """Derivative jumps of a function at 2/p and 4/p for an odd p >= 3."""
 
@@ -163,7 +163,7 @@ class Verdict(Enum):
     NO_OBSTRUCTION_FOUND = "no-obstruction-found"
 
 
-@dataclass(frozen=True)
+@frozen
 class ObstructionReport:
     """Aggregated algebraicity obstructions for a single knot expression."""
 
@@ -191,9 +191,7 @@ def _candidate_odd_ps(spectrum: dict[Fraction, Fraction]) -> list[int]:
 
 def algebraicity_report(knot: KnotExpr) -> ObstructionReport:
     """Run all four obstructions; only the index criterion can affirm algebraicity."""
-    cert = knotexpr.certify_lspace(knot)
-    if cert.status is LSpaceStatus.NOT_LSPACE:
-        raise NotLSpace(cert.reason or f"{knot} is not an L-space knot")
+    cert = knotexpr.require_lspace(knot)
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
     f = upsilon.upsilon_of_knot(knot)

@@ -20,12 +20,12 @@ constructor is the only place that checks it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd
 
 from . import intpoly
+from ._record import frozen
 from .errors import (
     ConstraintError,
     HypothesisViolated,
@@ -38,7 +38,7 @@ from .errors import (
 from .intpoly import IntPolynomial
 
 
-@dataclass(frozen=True)
+@frozen
 class FormalSemigroup:
     """Genus plus the members below 2*genus, sorted ascending."""
 

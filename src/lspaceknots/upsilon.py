@@ -26,19 +26,19 @@ slope-sorted lines.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import intpoly, knotexpr, semigroup
-from .errors import ConstraintError, NotLSpace, OutOfDomain
-from .knotexpr import KnotCombination, KnotExpr, LSpaceStatus
+from ._record import frozen
+from .errors import ConstraintError, OutOfDomain
+from .knotexpr import KnotCombination, KnotExpr
 from .semigroup import FormalSemigroup
 
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
+@frozen
 class PiecewiseLinear:
     """Continuous piecewise-linear function on [0, 2] in canonical form."""
 
@@ -218,9 +218,7 @@ def torus_consecutive_upsilon(n: int) -> PiecewiseLinear:
 @lru_cache(maxsize=None)
 def upsilon_of_knot(knot: KnotExpr) -> PiecewiseLinear:
     """Upsilon of a single certified (or candidate) L-space knot."""
-    cert = knotexpr.certify_lspace(knot)
-    if cert.status is LSpaceStatus.NOT_LSPACE:
-        raise NotLSpace(cert.reason or f"{knot} is not an L-space knot")
+    knotexpr.require_lspace(knot)
     return upsilon_from_semigroup(semigroup.from_alexander(knotexpr.alexander(knot)))
 
 

@@ -10,12 +10,12 @@ criterion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
 from . import knotexpr, obstruct, semigroup, upsilon
+from ._record import frozen
 from .intpoly import IntPolynomial, cable_alexander, torus_alexander
 from .knotexpr import jfamily, torus
 from .semigroup import FormalSemigroup, from_alexander, from_generators
@@ -27,7 +27,7 @@ from .upsilon import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Check:
     name: str
     tags: tuple[str, ...]

@@ -1,9 +1,13 @@
 """Command-line interface: payloads, formats, exit codes, error objects."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lspaceknots
 from lspaceknots.cli import main
 
 
@@ -174,6 +178,17 @@ def test_deep_cable_nesting_is_a_parse_error(capsys):
     assert "internal" not in err
 
 
+def test_semigroup_rejects_a_non_lspace_cable(capsys):
+    # q = 21 is below Hedden's bound p(2g - 1) = 50, as upsilon and obstruct report
+    for command in ("semigroup", "upsilon", "obstruct"):
+        code, out, err = run(capsys, command, "C(T(3,14);2,21)")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "NotLSpace",
+            "message": "cable index q=21 is below p*(2g-1)=50",
+        }
+
+
 def test_not_lspace_error_object(capsys):
     code, _, err = run(capsys, "upsilon", "C(T(2,3);2,1)")
     assert code == 1
@@ -201,3 +216,24 @@ def test_verify_full_run_is_consistent_with_output(capsys):
     assert len(reported) == 9
     has_failures = any(line.startswith("FAIL") for line in reported)
     assert code == (1 if has_failures else 0)
+
+
+def test_cli_import_leaves_out_dataclasses_and_verify():
+    # -S keeps the imports of site-packages .pth files out of sys.modules
+    script = (
+        "import sys, lspaceknots.cli as cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'lspaceknots.verify'} & set(sys.modules)))\n"
+        "code = cli.main(['verify-paper', '--filter', 'torus-3-7'])\n"
+        "print(code, 'lspaceknots.verify' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lspaceknots.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("PASS torus-3-7-invariants")
+    assert lines[-1] == "0 True"  # verify-paper exits 0 through the lazy import
