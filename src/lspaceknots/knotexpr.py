@@ -1,12 +1,14 @@
 """Iterated-torus knot descriptions and their basic invariants.
 
-Knots are immutable expression trees: ``Torus(p, q)``, ``Cable(inner, p, q)``
-with p >= 2, an explicit Alexander-polynomial candidate, and the (-2,3,7)
-pretzel knot as a built-in example whose gap set is not closed under
-addition.  The factories normalize degenerate cases so that structural
-equality is equality of canonical forms: torus indices are sorted and any
-index 1 collapses to the unknot, (1, q)-cables collapse to the inner knot,
-and cables of the unknot become torus knots.
+Knots are immutable values: ``Torus(p, q)``, an explicit Alexander-polynomial
+candidate, the (-2,3,7) pretzel knot (a built-in example whose gap set is not
+closed under addition), and ``Cable(core, stages)``, one of those cabled by
+the (p, q) pairs in ``stages``, innermost first.  ``cable()`` alone
+normalises, so equality is equality of canonical forms: torus indices are
+sorted and any index 1 gives the unknot, (1, q)-cables collapse to the
+companion, cables of the unknot become torus knots, and cabling a cable
+appends a stage.  Genus is closed-form on towers, g' = p*g + (p-1)(q-1)/2, so
+certification checks q >= p(2g - 1) stage by stage without any polynomial.
 
 Integer linear combinations of knots are described by a small text grammar
 (whitespace-insensitive):
@@ -35,7 +37,6 @@ from . import intpoly, semigroup
 from ._record import frozen
 from .errors import (
     ConstraintError,
-    InvalidShape,
     NotIteratedTorus,
     NotLSpace,
     NotLSpaceShape,
@@ -45,7 +46,7 @@ from .intpoly import IntPolynomial, cable_alexander, torus_alexander
 
 
 class KnotExpr:
-    """Marker base class for knot expression nodes."""
+    """Marker base class for knot expressions; every core but a torus knot has a ``poly``."""
 
     __slots__ = ()
 
@@ -72,28 +73,32 @@ class Torus(KnotExpr):
         return "U" if self.p == 1 else f"T({self.p},{self.q})"
 
 
+def _check_stage(p: int, q: int) -> None:
+    # the index checks of one stage, run by Cable and by cable() before it normalises
+    if p < 1:
+        raise ConstraintError(f"cable index p must be positive, got {p}")
+    if q < 1:
+        raise ConstraintError(f"cable index q must be positive, got {q}")
+    if gcd(p, q) != 1:
+        raise ConstraintError(f"cable indices ({p}, {q}) must be coprime")
+
+
 @frozen
 class Cable(KnotExpr):
-    inner: KnotExpr
-    p: int
-    q: int
+    core: KnotExpr
+    stages: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.inner, KnotExpr):
-            raise ConstraintError("cable companion must be a knot expression")
-        if self.p < 2:
-            raise ConstraintError(
-                f"cable nodes need p >= 2, got {self.p}; use cable() to normalize"
-            )
-        if self.q < 1:
-            raise ConstraintError(f"cable index q must be positive, got {self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise ConstraintError(f"cable indices ({self.p}, {self.q}) must be coprime")
-        if self.inner == UNKNOT:
-            raise ConstraintError("a cable of the unknot is a torus knot; use cable()")
+        for p, q in self.stages:
+            _check_stage(p, q)
+            if p == 1:
+                raise ConstraintError("cable nodes need p >= 2, got 1; use cable() to normalize")
+        core = self.core
+        if not self.stages or not isinstance(core, KnotExpr) or isinstance(core, Cable) or core == UNKNOT:
+            raise ConstraintError("a cable needs stages above a knot other than a cable or the unknot; use cable()")
 
     def __str__(self):
-        return f"C({self.inner};{self.p},{self.q})"
+        return "C(" * len(self.stages) + str(self.core) + "".join(f";{p},{q})" for p, q in self.stages)
 
 
 @frozen
@@ -107,9 +112,16 @@ class ExplicitAlexander(KnotExpr):
         return "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
 
 
+# Alexander polynomial of P(-2,3,7); its gap-set complement is
+# {0,3,5,7,8} together with everything from 10 on.
+PRETZEL_ALEXANDER = IntPolynomial.from_coeffs([1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1])
+
+
 @frozen
 class Pretzel237(KnotExpr):
     """The (-2, 3, 7) pretzel knot, carried as a fixed example."""
+
+    poly = PRETZEL_ALEXANDER  # a constant, not a field
 
     def __str__(self):
         return "P237"
@@ -118,28 +130,25 @@ class Pretzel237(KnotExpr):
 UNKNOT = Torus(1, 1)
 PRETZEL_P237 = Pretzel237()
 
-# Alexander polynomial of P(-2,3,7); its gap-set complement is
-# {0,3,5,7,8} together with everything from 10 on.
-PRETZEL_ALEXANDER = IntPolynomial.from_coeffs([1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1])
-
 
 def torus(p: int, q: int) -> Torus:
     return Torus(p, q)
 
 
 def cable(inner: KnotExpr, p: int, q: int) -> KnotExpr:
-    """(p, q)-cable of ``inner``, collapsing the degenerate cases."""
-    if p < 1:
-        raise ConstraintError(f"cable index p must be positive, got {p}")
-    if q < 1:
-        raise ConstraintError(f"cable index q must be positive, got {q}")
-    if gcd(p, q) != 1:
-        raise ConstraintError(f"cable indices ({p}, {q}) must be coprime")
+    """(p, q)-cable of ``inner``; the one place that normalises a cabling."""
+    _check_stage(p, q)
     if p == 1:
         return inner  # a (1, q)-cable is the same knot
     if inner == UNKNOT:
         return Torus(p, q)
-    return Cable(inner, p, q)
+    core, stages = _core_and_stages(inner)
+    return Cable(core, stages + ((p, q),))
+
+
+def _core_and_stages(knot: KnotExpr) -> tuple[KnotExpr, tuple[tuple[int, int], ...]]:
+    """The knot that is not a cable at the bottom of ``knot``, and the stages above it."""
+    return (knot.core, knot.stages) if isinstance(knot, Cable) else (knot, ())
 
 
 def jfamily(k: int) -> KnotExpr:
@@ -318,32 +327,28 @@ def parse(text: str) -> KnotCombination:
 @lru_cache(maxsize=None)
 def alexander(knot: KnotExpr) -> IntPolynomial:
     """Unsymmetrized Alexander polynomial with constant term 1."""
-    if isinstance(knot, Torus):
-        return torus_alexander(knot.p, knot.q)
-    if isinstance(knot, Cable):
-        return cable_alexander(alexander(knot.inner), knot.p, knot.q)
-    if isinstance(knot, ExplicitAlexander):
-        return knot.poly
-    if isinstance(knot, Pretzel237):
-        return PRETZEL_ALEXANDER
-    raise TypeError(f"unknown knot expression {knot!r}")
+    core, stages = _core_and_stages(knot)
+    poly = torus_alexander(core.p, core.q) if isinstance(core, Torus) else core.poly
+    for p, q in stages:
+        poly = cable_alexander(poly, p, q)
+    return poly
 
 
 def genus(knot: KnotExpr) -> int:
-    """Half the Alexander degree."""
-    deg = alexander(knot).degree
-    if deg % 2:
-        raise InvalidShape(f"Alexander degree {deg} is odd")
-    return deg // 2
+    """Closed form for torus knots and cables; half the Alexander degree of any other core."""
+    core, stages = _core_and_stages(knot)
+    g = (core.p - 1) * (core.q - 1) // 2 if isinstance(core, Torus) else core.poly.degree // 2
+    for p, q in stages:
+        g = p * g + (p - 1) * (q - 1) // 2
+    return g
 
 
 def tower(knot: KnotExpr) -> list[tuple[int, int]]:
     """Cabling indices innermost-first; the first pair is the core torus knot."""
-    if isinstance(knot, Torus):
-        return [(knot.p, knot.q)]
-    if isinstance(knot, Cable):
-        return tower(knot.inner) + [(knot.p, knot.q)]
-    raise NotIteratedTorus(f"{knot} is not an iterated torus expression")
+    core, stages = _core_and_stages(knot)
+    if not isinstance(core, Torus):
+        raise NotIteratedTorus(f"{core} is not an iterated torus expression")
+    return [(core.p, core.q), *stages]
 
 
 class LSpaceStatus(Enum):
@@ -368,32 +373,28 @@ def certify_lspace(knot: KnotExpr) -> Certificate:
     """Decide whether the expression describes an L-space knot.
 
     Torus knots and the pretzel example are certified outright.  A cable is
-    certified exactly when the companion is and q >= p(2g - 1); the violated
+    certified exactly when its core is and each stage (p, q) has
+    q >= p(2g - 1), g the closed-form genus below it; the first violated
     bound is reported otherwise.  Explicit Alexander candidates get only
     the necessary checks of the gap-set constructor (duality and growth) and
     are at best CANDIDATE, never CERTIFIED: the L-space property is not
     decidable from the polynomial alone.
     """
-    if isinstance(knot, (Torus, Pretzel237)):
-        return Certificate(LSpaceStatus.CERTIFIED)
-    if isinstance(knot, Cable):
-        inner_cert = certify_lspace(knot.inner)
-        if inner_cert.status is LSpaceStatus.NOT_LSPACE:
-            return inner_cert
-        bound = knot.p * (2 * genus(knot.inner) - 1)
-        if knot.q < bound:
-            return Certificate(
-                LSpaceStatus.NOT_LSPACE,
-                f"cable index q={knot.q} is below p*(2g-1)={bound}",
-            )
-        return inner_cert
-    if isinstance(knot, ExplicitAlexander):
+    core, stages = _core_and_stages(knot)
+    cert = Certificate(LSpaceStatus.CERTIFIED)
+    if isinstance(core, ExplicitAlexander):
         try:
-            semigroup.from_alexander(knot.poly)
+            semigroup.from_alexander(core.poly)
         except NotLSpaceShape as exc:
             return Certificate(LSpaceStatus.NOT_LSPACE, str(exc))
-        return Certificate(LSpaceStatus.CANDIDATE)
-    raise TypeError(f"unknown knot expression {knot!r}")
+        cert = Certificate(LSpaceStatus.CANDIDATE)
+    g = genus(core)
+    for p, q in stages:
+        bound = p * (2 * g - 1)
+        if q < bound:
+            return Certificate(LSpaceStatus.NOT_LSPACE, f"cable index q={q} is below p*(2g-1)={bound}")
+        g = p * g + (p - 1) * (q - 1) // 2
+    return cert
 
 
 def require_lspace(knot: KnotExpr) -> Certificate:
@@ -431,13 +432,10 @@ def iterated_torus_generators(knot: KnotExpr) -> set[int]:
     p_1*p_2*...*p_m, q_1*p_2*...*p_m, q_2*p_3*...*p_m, ..., q_{m-1}*p_m, q_m.
     """
     stages = tower(knot)
-    cert = certify_lspace(knot)
-    if cert.status is not LSpaceStatus.CERTIFIED:
-        raise NotLSpace(cert.reason or "expression is not a certified L-space tower")
-    out = {stages[-1][1]}
-    suffix = 1
-    for i in range(len(stages) - 1, 0, -1):
-        suffix *= stages[i][0]
-        out.add(stages[i - 1][1] * suffix)
-    out.add(stages[0][0] * suffix)
+    require_lspace(knot)
+    out, suffix = set(), 1
+    for p, q in reversed(stages):
+        out.add(q * suffix)
+        suffix *= p
+    out.add(suffix)
     return out

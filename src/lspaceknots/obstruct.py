@@ -194,7 +194,7 @@ def algebraicity_report(knot: KnotExpr) -> ObstructionReport:
     cert = knotexpr.require_lspace(knot)
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
-    f = upsilon.upsilon_of_knot(knot)
+    f = upsilon.upsilon_from_semigroup(sg)
     spectrum = jump_spectrum(f)
     failures = tuple(
         cmp

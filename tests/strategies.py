@@ -30,3 +30,18 @@ def certified_towers(draw):
         low = p * (2 * genus(knot) - 1)
         knot = cable(knot, p, draw(st.integers(low, low + 4).filter(lambda q: gcd(p, q) == 1)))
     return knot
+
+
+@st.composite
+def towers_below_hedden_bound(draw):
+    """T(p, q) cabled 1-2 times, at least once with q below the L-space bound p(2g-1)."""
+    p = draw(st.integers(2, 4))
+    knot = torus(p, draw(st.integers(p + 1, 7).filter(lambda q: gcd(p, q) == 1)))
+    n_stages = draw(st.integers(1, 2))
+    low_stage = draw(st.integers(0, n_stages - 1))
+    for i in range(n_stages):
+        p = draw(st.integers(2, 3))
+        bound = p * (2 * genus(knot) - 1)
+        qs = st.integers(1, bound - 1) if i == low_stage else st.integers(bound, bound + 4)
+        knot = cable(knot, p, draw(qs.filter(lambda q: gcd(p, q) == 1)))
+    return knot

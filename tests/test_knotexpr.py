@@ -3,15 +3,17 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
     Algebraicity,
     Cable,
+    Certificate,
     ConstraintError,
     IntPolynomial,
     LSpaceStatus,
     NotIteratedTorus,
+    NotLSpace,
     ParseError,
     PRETZEL_P237,
     Torus,
@@ -23,7 +25,9 @@ from lspaceknots import (
     classify_algebraic,
     combination,
     explicit_alexander,
+    from_generators,
     genus,
+    iterated_torus_generators,
     jfamily,
     parse,
     torus,
@@ -31,6 +35,7 @@ from lspaceknots import (
     tower,
 )
 from lspaceknots.knotexpr import MAX_CABLE_DEPTH
+from strategies import certified_towers, towers_below_hedden_bound
 
 P = IntPolynomial.from_coeffs
 
@@ -56,17 +61,20 @@ def test_torus_rejects_bad_indices():
 
 def test_cable_p_one_collapses():
     assert cable(torus(2, 3), 1, 9) == torus(2, 3)
+    assert cable(cable(UNKNOT, 2, 3), 1, 5) == torus(2, 3)
+    assert parse("C(T(2,3);1,7)").items() == ((torus(2, 3), 1),)
 
 
 def test_cable_of_unknot_is_torus():
     assert cable(UNKNOT, 3, 5) == torus(3, 5)
+    assert parse("C(U;2,3)").items() == ((torus(2, 3), 1),)
 
 
 def test_cable_node_requires_p_at_least_two():
     with pytest.raises(ConstraintError):
-        Cable(torus(2, 3), 1, 5)
+        Cable(torus(2, 3), ((1, 5),))
     with pytest.raises(ConstraintError):
-        Cable(UNKNOT, 3, 5)
+        Cable(UNKNOT, ((3, 5),))
 
 
 def test_cable_rejects_common_factor():
@@ -207,8 +215,23 @@ def test_genus_examples():
 def test_cable_genus_formula(inner_pq, cable_pq):
     inner = torus(*inner_pq)
     p, q = cable_pq
+    knot = Cable(inner, ((p, q),))
     expected = p * genus(inner) + (p - 1) * (q - 1) // 2
-    assert genus(Cable(inner, p, q)) == expected
+    assert genus(knot) == expected == alexander(knot).degree // 2
+
+
+@settings(deadline=None)
+@given(certified_towers())
+def test_closed_form_genus_matches_degree_and_generators(knot):
+    assert genus(knot) == alexander(knot).degree // 2
+    assert genus(knot) == from_generators(iterated_torus_generators(knot)).genus
+
+
+@settings(deadline=None)
+@given(towers_below_hedden_bound())
+def test_closed_form_genus_matches_degree_below_the_bound(knot):
+    assert certify_lspace(knot).status is LSpaceStatus.NOT_LSPACE
+    assert genus(knot) == alexander(knot).degree // 2
 
 
 # --- certification and the index criterion ---------------------------------
@@ -222,7 +245,7 @@ def test_certify_torus_and_pretzel():
 
 def test_certify_cable_bound():
     assert certify_lspace(cable(torus(2, 3), 2, 3)).status is LSpaceStatus.CERTIFIED
-    rejected = certify_lspace(Cable(torus(2, 3), 2, 1))
+    rejected = certify_lspace(cable(torus(2, 3), 2, 1))
     assert rejected.status is LSpaceStatus.NOT_LSPACE
     assert "q=1" in rejected.reason
 
@@ -308,8 +331,76 @@ def test_classify_non_towers_are_unknown():
     assert classify_algebraic(explicit_alexander(P([1, -1, 1]))) is Algebraicity.UNKNOWN
 
 
+# --- flat towers ---------------------------------------------------------------
+
+
+def test_cabling_a_cable_appends_a_stage():
+    knot = cable(cable(torus(2, 3), 3, 5), 2, 41)
+    assert knot == Cable(torus(2, 3), ((3, 5), (2, 41)))
+    assert parse("C(J(3);2,41)").items() == ((knot, 1),)
+    assert str(knot) == "C(C(T(2,3);3,5);2,41)"
+    assert tower(knot) == [(2, 3), (3, 5), (2, 41)]
+    assert repr(jfamily(3)) == "Cable(core=Torus(p=2, q=3), stages=((3, 5),))"
+
+
+def test_cable_constructor_checks_core_and_stages():
+    for core, stages in [
+        (torus(2, 3), ()),  # no stage: the knot would be its core
+        (jfamily(3), ((2, 41),)),  # a cable core is a second form of a tower
+        (torus(2, 3), ((2, 0),)),
+        (torus(2, 3), ((0, 5),)),
+        (torus(2, 3), ((4, 6),)),
+        (torus(2, 3), ((3, 5), (1, 7))),
+    ]:
+        with pytest.raises(ConstraintError):
+            Cable(core, stages)
+
+
+@pytest.mark.parametrize(
+    "text, genus_, status, reason",
+    [
+        ("C(P237;2,19)", 19, LSpaceStatus.CERTIFIED, None),
+        ("C(P237;2,17)", 18, LSpaceStatus.NOT_LSPACE, "cable index q=17 is below p*(2g-1)=18"),
+        ("C(C(P237;2,19);3,100)", 156, LSpaceStatus.NOT_LSPACE, "cable index q=100 is below p*(2g-1)=111"),
+        ("C(alex[1,-1,1];2,5)", 4, LSpaceStatus.CANDIDATE, None),
+        ("C(alex[1,-1,1];2,1)", 2, LSpaceStatus.NOT_LSPACE, "cable index q=1 is below p*(2g-1)=2"),
+        ("C(alex[1,-1,0,0,1];2,5)", 6, LSpaceStatus.NOT_LSPACE, "3 gaps below 2g = 4; exactly 2 required"),
+    ],
+)
+def test_cables_of_non_torus_cores(text, genus_, status, reason):
+    (knot, _), = parse(text).items()
+    assert str(knot) == text
+    assert genus(knot) == genus_ == alexander(knot).degree // 2
+    assert certify_lspace(knot) == Certificate(status, reason)
+    assert classify_algebraic(knot) is Algebraicity.UNKNOWN
+    with pytest.raises(NotIteratedTorus):
+        tower(knot)
+
+
+@pytest.mark.parametrize(
+    "text, genus_, status",
+    [
+        ("C(C(C(T(3,4);3,71);2,853);3,3503)", 5254, LSpaceStatus.CERTIFIED),
+        ("C(C(C(T(3,4);3,71);2,853);3,10)", 1761, LSpaceStatus.NOT_LSPACE),
+    ],
+)
+def test_tower_gate_builds_no_polynomial(text, genus_, status):
+    (knot, _), = parse(text).items()
+    alexander.cache_clear()
+    assert certify_lspace(knot).status is status
+    assert genus(knot) == genus_
+    assert classify_algebraic(knot) is Algebraicity.NOT_ALGEBRAIC
+    if status is LSpaceStatus.CERTIFIED:
+        assert iterated_torus_generators(knot) == {54, 72, 426, 2559, 3503}
+    else:
+        with pytest.raises(NotLSpace):
+            iterated_torus_generators(knot)
+    assert alexander.cache_info().currsize == 0
+
+
 def test_tower_of_nested_cables():
-    knot = Cable(Cable(torus(2, 3), 2, 13), 3, 100)
+    knot = Cable(torus(2, 3), ((2, 13), (3, 100)))
+    assert knot == cable(cable(torus(2, 3), 2, 13), 3, 100)
     assert tower(knot) == [(2, 3), (2, 13), (3, 100)]
     with pytest.raises(NotIteratedTorus):
         tower(PRETZEL_P237)

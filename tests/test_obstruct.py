@@ -8,7 +8,6 @@ import pytest
 
 from lspaceknots import (
     Algebraicity,
-    Cable,
     ConstraintError,
     DecompositionFailure,
     DomainError,
@@ -220,7 +219,26 @@ def test_report_candidate_without_obstructions():
 
 def test_report_rejects_non_lspace():
     with pytest.raises(NotLSpace):
-        algebraicity_report(Cable(torus(2, 3), 2, 1))
+        algebraicity_report(cable(torus(2, 3), 2, 1))
+
+
+@pytest.mark.parametrize("text", ["T(3,7)", "J(3)", "C(T(2,3);2,13)", "C(C(T(2,3);2,13);3,100)", "P237"])
+def test_report_certifies_and_builds_the_gap_set_once(monkeypatch, text):
+    from lspaceknots import knotexpr, parse, semigroup, upsilon
+
+    (knot, _), = parse(text).items()
+    d = knotexpr.alexander(knot)
+    for cached in (knotexpr.alexander, upsilon.upsilon_of_knot, upsilon.torus_consecutive_upsilon):
+        cached.cache_clear()
+    certified, read = [], []
+    require_lspace, from_alexander = knotexpr.require_lspace, semigroup.from_alexander
+    monkeypatch.setattr(knotexpr, "require_lspace", lambda k: certified.append(k) or require_lspace(k))
+    monkeypatch.setattr(semigroup, "from_alexander", lambda p: read.append(p) or from_alexander(p))
+    report = algebraicity_report(knot)
+    assert certified == [knot]
+    # the decomposition reads the gap sets of the T(n, n+1) it peels off, never this one again
+    assert read.count(d) == 1
+    assert report == algebraicity_report(knot)  # and the report is unchanged on warm caches
 
 
 def test_report_closure_never_fires_on_certified_towers():

@@ -294,10 +294,8 @@ def test_iterated_torus_generators_match_alexander_route():
 def test_iterated_torus_generators_errors():
     with pytest.raises(NotIteratedTorus):
         iterated_torus_generators(PRETZEL_P237)
-    from lspaceknots import Cable
-
     with pytest.raises(NotLSpace):
-        iterated_torus_generators(Cable(torus(2, 3), 2, 1))
+        iterated_torus_generators(cable(torus(2, 3), 2, 1))
 
 
 # --- differential: three routes to the gap set of a certified tower -----------

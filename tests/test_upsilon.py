@@ -250,9 +250,9 @@ def test_combination_of_knots():
 
 
 def test_combination_requires_lspace():
-    from lspaceknots import Cable, NotLSpace
+    from lspaceknots import NotLSpace, cable
 
-    bad = combination([(Cable(torus(2, 3), 2, 1), 1)])
+    bad = combination([(cable(torus(2, 3), 2, 1), 1)])
     with pytest.raises(NotLSpace):
         upsilon_of_combination(bad)
 
