@@ -5,12 +5,15 @@ verify-paper.  Exit codes: 0 success, 1 domain error (a single JSON error
 object goes to stderr, never a stack trace), 2 usage error.  Output formats
 are json (stable key order, rationals as exact "p/q" strings), csv and text;
 --decimal switches the rationals to floating approximations for plotting.
+A reader that closes stdout early (``| head -1``) ends the command with exit
+code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -202,7 +205,7 @@ def _cmd_obstruct(args) -> int:
                 "criterion": OBSTRUCTION_STATEMENTS["semigroup_closure"],
                 "closed": report.closed,
                 "witness": list(report.closure_witness) if report.closure_witness else None,
-                "fires": not report.closed,
+                "fires": "semigroup-not-closed" in report.reasons,
             },
             "jump_equality": {
                 "criterion": OBSTRUCTION_STATEMENTS["jump_equality"],
@@ -214,17 +217,17 @@ def _cmd_obstruct(args) -> int:
                     }
                     for cmp in report.jump_equality_failures
                 ],
-                "fires": bool(report.jump_equality_failures),
+                "fires": "jump-inequality" in report.reasons,
             },
             "decomposition": {
                 "criterion": OBSTRUCTION_STATEMENTS["decomposition"],
                 **_decomposition_payload(report.decomposition, args.decimal),
-                "fires": not (report.decomposition.succeeded and report.decomposition.all_integer),
+                "fires": "no-consecutive-torus-expansion" in report.reasons,
             },
             "index_criterion": {
                 "criterion": OBSTRUCTION_STATEMENTS["index_criterion"],
                 "result": report.index_criterion.value,
-                "fires": report.index_criterion is knotexpr.Algebraicity.NOT_ALGEBRAIC,
+                "fires": "index-criterion" in report.reasons,
             },
         },
     }
@@ -316,12 +319,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here rather than at interpreter exit
+        return code
     except DomainError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             payload["position"] = exc.position
         print(json.dumps(payload), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as exc:  # contract: never a stack trace on stderr
         print(

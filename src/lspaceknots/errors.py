@@ -3,7 +3,12 @@
 Every failure caused by input outside an operation's mathematical domain
 derives from DomainError; the CLI maps that family to exit code 1 with a
 structured error object.  Genuine programming errors stay ordinary Python
-exceptions.
+exceptions.  Each rule has one class, whichever module checks it.  The ten
+are DomainError itself, ConstraintError (side conditions such as coprime
+indices), NotDivisible, NotLSpaceShape (the shape, duality and growth of a
+polynomial or gap set), ParseError, InfiniteComplement, NotIteratedTorus,
+NotLSpace (a cable below the bound q >= p(2g - 1)), OutOfDomain and
+Undefined.
 """
 
 
@@ -11,20 +16,16 @@ class DomainError(Exception):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class NotCoprime(DomainError):
-    pass
-
-
 class NotDivisible(DomainError):
     """Exact polynomial division was requested but a nonzero remainder is left."""
 
 
 class NotLSpaceShape(DomainError):
-    """A polynomial is not shaped like the Alexander polynomial of an L-space knot."""
+    """A polynomial or gap set is not shaped like that of an L-space knot.
 
-
-class InvalidShape(DomainError):
-    pass
+    Covers polynomials whose coefficients do not alternate +1/-1 from a
+    constant term 1 with even degree, and gap sets violating duality or growth.
+    """
 
 
 class ConstraintError(DomainError):
@@ -37,14 +38,6 @@ class ParseError(DomainError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-class InvalidSemigroup(DomainError):
-    """A candidate gap set violates the structural invariants (duality, growth)."""
-
-
-class HypothesisViolated(DomainError):
-    """The cabling formula was invoked outside its bound q >= p(2g - 1)."""
 
 
 class InfiniteComplement(DomainError):

@@ -22,13 +22,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from ._record import frozen
-from .errors import (
-    ConstraintError,
-    NotCoprime,
-    NotDivisible,
-    NotLSpaceShape,
-    ParseError,
-)
+from .errors import ConstraintError, NotDivisible, NotLSpaceShape, ParseError
 
 
 @frozen
@@ -99,12 +93,6 @@ class IntPolynomial:
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
         return IntPolynomial(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         acc: dict[int, int] = {}
@@ -203,7 +191,7 @@ def torus_alexander(p: int, q: int) -> IntPolynomial:
     if p < 1 or q < 1:
         raise ConstraintError(f"torus indices must be positive, got ({p}, {q})")
     if gcd(p, q) != 1:
-        raise NotCoprime(f"torus indices ({p}, {q}) must be coprime")
+        raise ConstraintError(f"torus indices ({p}, {q}) must be coprime")
     num = _t_power_minus_one(p * q) * _t_power_minus_one(1)
     quot = poly_exact_div(num, _t_power_minus_one(p))
     return poly_exact_div(quot, _t_power_minus_one(q))

@@ -58,9 +58,6 @@ class Decomposition:
     def succeeded(self) -> bool:
         return self.coefficients is not None
 
-    def coefficient_dict(self) -> dict[int, Fraction]:
-        return dict(self.coefficients or ())
-
 
 def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
     """Greedy expansion of f in the upsilon functions of T(n, n+1).

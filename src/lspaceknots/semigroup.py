@@ -21,20 +21,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 
 from . import intpoly
 from ._record import frozen
-from .errors import (
-    ConstraintError,
-    HypothesisViolated,
-    InfiniteComplement,
-    InvalidSemigroup,
-    NotCoprime,
-    NotLSpaceShape,
-    Undefined,
-)
+from .errors import ConstraintError, InfiniteComplement, NotLSpace, NotLSpaceShape, Undefined
 from .intpoly import IntPolynomial
 
 
@@ -51,26 +43,26 @@ class FormalSemigroup:
         object.__setattr__(self, "genus", int(self.genus))
         g = self.genus
         if g < 0:
-            raise InvalidSemigroup("genus must be nonnegative")
+            raise NotLSpaceShape("genus must be nonnegative")
         if g == 0:
             if small:
-                raise InvalidSemigroup("genus 0 admits no elements below 0")
+                raise NotLSpaceShape("genus 0 admits no elements below 0")
             return
         if small[0] != 0:
-            raise InvalidSemigroup("0 must be a member")
+            raise NotLSpaceShape("0 must be a member")
         if small[-1] >= 2 * g:
-            raise InvalidSemigroup(f"member {small[-1]} is not below 2g = {2 * g}")
+            raise NotLSpaceShape(f"member {small[-1]} is not below 2g = {2 * g}")
         if len(small) != g:
-            raise InvalidSemigroup(
+            raise NotLSpaceShape(
                 f"{2 * g - len(small)} gaps below 2g = {2 * g}; exactly {g} required"
             )
         members = set(small)
         for s in range(2 * g):
             if (s in members) == ((2 * g - 1 - s) in members):
-                raise InvalidSemigroup(f"duality fails at {s}: exactly one of {s}, {2 * g - 1 - s} may be a member")
+                raise NotLSpaceShape(f"duality fails at {s}: exactly one of {s}, {2 * g - 1 - s} may be a member")
         for i, s in enumerate(small):
             if s < 2 * i:
-                raise InvalidSemigroup(f"member {s} in position {i} is below the growth bound {2 * i}")
+                raise NotLSpaceShape(f"member {s} in position {i} is below the growth bound {2 * i}")
 
     @cached_property
     def _small_set(self) -> frozenset[int]:
@@ -89,14 +81,6 @@ class FormalSemigroup:
             return self.genus + (m - 2 * self.genus)
         return bisect_left(self.small_elements, m)
 
-    def element(self, i: int) -> int:
-        """The i-th smallest member (0-based)."""
-        if i < 0:
-            raise IndexError(i)
-        if i < len(self.small_elements):
-            return self.small_elements[i]
-        return 2 * self.genus + (i - self.genus)
-
     def __str__(self):
         g = self.genus
         finite = ",".join(str(s) for s in self.small_elements)
@@ -112,10 +96,7 @@ def from_alexander(d: IntPolynomial) -> FormalSemigroup:
     intpoly.validate_lspace_shape(d)
     exps = [e for e, _ in d.terms]
     small = tuple(s for lo, hi in zip(exps[::2], exps[1::2]) for s in range(lo, hi))
-    try:
-        return FormalSemigroup(d.degree // 2, small)
-    except InvalidSemigroup as exc:
-        raise NotLSpaceShape(str(exc)) from exc
+    return FormalSemigroup(d.degree // 2, small)
 
 
 def to_alexander(sg: FormalSemigroup) -> IntPolynomial:
@@ -175,25 +156,20 @@ def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
     if q < 1:
         raise ConstraintError(f"cabling needs q >= 1, got {q}")
     if gcd(p, q) != 1:
-        raise NotCoprime(f"cable indices ({p}, {q}) must be coprime")
+        raise ConstraintError(f"cable indices ({p}, {q}) must be coprime")
     g = sg.genus
     bound = p * (2 * g - 1)
     if q < bound:
-        raise HypothesisViolated(f"q={q} is below p*(2g-1)={bound}")
+        raise NotLSpace(f"q={q} is below p*(2g-1)={bound}")
     g2 = p * g + (p - 1) * (q - 1) // 2
     limit = 2 * g2
     small = set()
-    b = 0
-    while q * b < limit:
-        base = q * b
-        i = 0
-        while True:
-            s = p * sg.element(i) + base
+    for base in range(0, limit, q):
+        for member in chain(sg.small_elements, count(2 * g)):
+            s = p * member + base
             if s >= limit:
                 break
             small.add(s)
-            i += 1
-        b += 1
     return FormalSemigroup(g2, tuple(sorted(small)))
 
 

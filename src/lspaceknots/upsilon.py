@@ -91,37 +91,11 @@ class PiecewiseLinear:
             i -= 1  # t == 2
         return self.breakpoint_values[i] + self.slopes[i] * (t - self.breakpoints[i])
 
-    def scaled(self, c) -> PiecewiseLinear:
-        c = Fraction(c)
-        if c == 0:
-            return ZERO
-        return PiecewiseLinear(
-            self.breakpoints, c * self.value_at_zero, tuple(c * s for s in self.slopes)
-        )
-
     def mirrored(self) -> PiecewiseLinear:
         """The function t -> f(2 - t)."""
         bps = tuple(TWO - b for b in reversed(self.breakpoints))
         slopes = tuple(-s for s in reversed(self.slopes))
         return PiecewiseLinear(bps, self.breakpoint_values[-1], slopes)
-
-    def __neg__(self) -> PiecewiseLinear:
-        return self.scaled(-1)
-
-    def __add__(self, other: PiecewiseLinear) -> PiecewiseLinear:
-        return pl_combine([(1, self), (1, other)])
-
-    def __sub__(self, other: PiecewiseLinear) -> PiecewiseLinear:
-        return pl_combine([(1, self), (-1, other)])
-
-    def __rmul__(self, c) -> PiecewiseLinear:
-        return self.scaled(c)
-
-    def __str__(self):
-        parts = []
-        for i, s in enumerate(self.slopes):
-            parts.append(f"[{self.breakpoints[i]}, {self.breakpoints[i + 1]}]: slope {s}")
-        return "; ".join(parts)
 
 
 ZERO = PiecewiseLinear((0, 2), 0, (0,))

@@ -317,12 +317,18 @@ def check_jump_equality_combinations() -> list[str]:
 
 
 def run_checks(filter_tag: str | None = None, writer=print) -> bool:
-    """Run the suite, print one line per check, and return True when all pass."""
+    """Run the suite, print one line per check, and return True when all pass.
+
+    A filter that selects no check is a failure, so a typo cannot pass as a clean run.
+    """
     selected = [
         c
         for c in CHECKS
         if filter_tag is None or filter_tag in c.name or filter_tag in c.tags
     ]
+    if not selected:
+        writer(f"no check matches {filter_tag!r}")
+        return False
     all_ok = True
     for check in selected:
         try:

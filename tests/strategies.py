@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from lspaceknots import FormalSemigroup, InvalidSemigroup, cable, genus, torus
+from lspaceknots import FormalSemigroup, NotLSpaceShape, cable, genus, torus
 
 
 @st.composite
@@ -16,7 +16,7 @@ def formal_semigroups(draw, max_genus=40):
         small = tuple(rng.choice((s, 2 * g - 1 - s)) for s in range(g))
         try:
             return FormalSemigroup(g, small)
-        except InvalidSemigroup:
+        except NotLSpaceShape:
             continue
 
 

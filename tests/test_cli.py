@@ -161,6 +161,35 @@ def test_obstruct_report_json(capsys):
         assert entry["criterion"]
 
 
+@pytest.mark.parametrize(
+    "knot",
+    [
+        "P237",
+        "J(3)",
+        "T(3,7)",
+        "C(T(2,3);2,13)",
+        "C(C(T(2,3);2,13);3,83)",
+        # these set apart entries that fire together above: the index criterion
+        # alone, the decomposition alone, and all but the index criterion
+        "C(T(2,3);2,11)",
+        "alex[1,-1,0,0,0,0,0,0,1,0,0,0,0,0,0,-1,1]",
+        "C(P237;2,19)",
+    ],
+)
+def test_obstruct_fires_match_the_report_fields(capsys, knot):
+    code, out, _ = run(capsys, "obstruct", knot)
+    assert code == 0
+    entries = json.loads(out)["obstructions"]
+    decomposition = entries["decomposition"]
+    expected = {
+        "semigroup_closure": entries["semigroup_closure"]["witness"] is not None,
+        "jump_equality": bool(entries["jump_equality"]["failures"]),
+        "decomposition": not (decomposition["succeeded"] and decomposition["all_integer"]),
+        "index_criterion": entries["index_criterion"]["result"] == "not-algebraic",
+    }
+    assert {name: entry["fires"] for name, entry in entries.items()} == expected
+
+
 def test_parse_error_object(capsys):
     code, out, err = run(capsys, "semigroup", "T(3;7)")
     assert code == 1 and out == ""
@@ -209,6 +238,12 @@ def test_verify_filtered_run_passes(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def test_verify_filter_matching_no_check_fails(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--filter", "upsilom")
+    assert code == 1
+    assert out == "no check matches 'upsilom'\n"
+
+
 def test_verify_full_run_is_consistent_with_output(capsys):
     code, out, _ = run(capsys, "verify-paper")
     lines = out.splitlines()
@@ -237,3 +272,19 @@ def test_cli_import_leaves_out_dataclasses_and_verify():
     assert lines[0] == "[]"
     assert lines[1].startswith("PASS torus-3-7-invariants")
     assert lines[-1] == "0 True"  # verify-paper exits 0 through the lazy import
+
+
+def test_closed_stdout_exits_1_with_empty_stderr():
+    # the csv is far larger than a pipe buffer, so the child is still writing when the pipe closes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lspaceknots.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["upsilon", "T(40,41)", "--format", "csv", "--subdivisions", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lspaceknots.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"t,upsilon\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

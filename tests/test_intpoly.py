@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lspaceknots import (
+    ConstraintError,
     IntPolynomial,
-    NotCoprime,
     NotDivisible,
     NotLSpaceShape,
     ParseError,
@@ -151,7 +151,7 @@ def test_torus_alexander_trefoil():
 
 
 def test_torus_alexander_not_coprime():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ConstraintError, match=r"torus indices \(4, 6\) must be coprime"):
         torus_alexander(4, 6)
 
 
@@ -160,7 +160,7 @@ def test_torus_alexander_shape(p, q):
     from math import gcd
 
     if gcd(p, q) != 1:
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ConstraintError, match="must be coprime"):
             torus_alexander(p, q)
         return
     d = torus_alexander(p, q)

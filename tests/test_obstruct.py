@@ -37,13 +37,13 @@ F = Fraction
 
 def test_decompose_trefoil_is_itself():
     dec = decompose_into_consecutive_torus(torus_consecutive_upsilon(2))
-    assert dec.coefficient_dict() == {2: 1}
+    assert dict(dec.coefficients) == {2: 1}
     assert dec.all_integer and dec.all_nonnegative
 
 
 def test_decompose_t37():
     dec = decompose_into_consecutive_torus(upsilon_of_knot(torus(3, 7)))
-    assert dec.coefficient_dict() == {3: 2}
+    assert dict(dec.coefficients) == {3: 2}
     assert dec.all_integer and dec.all_nonnegative
 
 
@@ -56,7 +56,7 @@ def test_decompose_j3_fails_at_four_fifths():
 
 def test_decompose_zero_function():
     dec = decompose_into_consecutive_torus(ZERO)
-    assert dec.succeeded and dec.coefficient_dict() == {}
+    assert dec.succeeded and dict(dec.coefficients) == {}
 
 
 def test_decompose_handles_rational_and_negative_coefficients():
@@ -68,7 +68,7 @@ def test_decompose_handles_rational_and_negative_coefficients():
     )
     dec = decompose_into_consecutive_torus(f)
     assert dec.succeeded
-    assert dec.coefficient_dict() == {4: F(1, 2), 3: -2}
+    assert dict(dec.coefficients) == {4: F(1, 2), 3: -2}
     assert not dec.all_integer
     assert not dec.all_nonnegative
 

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
+    ConstraintError,
     FormalSemigroup,
-    HypothesisViolated,
     InfiniteComplement,
     IntPolynomial,
-    InvalidSemigroup,
-    NotCoprime,
     NotIteratedTorus,
     NotLSpace,
     NotLSpaceShape,
@@ -119,17 +117,17 @@ def test_roundtrip_from_alexander_side(p, q):
 
 
 def test_constructor_rejects_duality_failure():
-    with pytest.raises(InvalidSemigroup):
+    with pytest.raises(NotLSpaceShape, match="duality fails at 0"):
         FormalSemigroup(2, (0, 3))  # 0 and 3 are dual partners
 
 
 def test_constructor_rejects_wrong_gap_count():
-    with pytest.raises(InvalidSemigroup):
+    with pytest.raises(NotLSpaceShape, match="4 gaps below 2g = 6; exactly 3 required"):
         FormalSemigroup(3, (0, 4))
 
 
 def test_constructor_rejects_growth_failure():
-    with pytest.raises(InvalidSemigroup):
+    with pytest.raises(NotLSpaceShape, match="member 3 in position 2 is below the growth bound 4"):
         FormalSemigroup(4, (0, 2, 3, 6))
 
 
@@ -137,7 +135,6 @@ def test_membership_and_counting():
     assert 7 in S_T37 and 8 not in S_T37 and 100 in S_T37
     assert S_T37.count_below(12) == 6
     assert S_T37.count_below(13) == 7
-    assert [S_T37.element(i) for i in range(8)] == [0, 3, 6, 7, 9, 10, 12, 13]
 
 
 # --- closure ------------------------------------------------------------------
@@ -206,12 +203,12 @@ def test_cable_semigroup_of_unknot_set():
 
 
 def test_cable_semigroup_rejects_low_q():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(NotLSpace, match=r"q=13 is below p\*\(2g-1\)=22"):
         cable_semigroup(S_T37, 2, 13)  # bound is 2*(2*6-1) = 22
 
 
 def test_cable_semigroup_rejects_common_factor():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ConstraintError, match=r"cable indices \(2, 4\) must be coprime"):
         cable_semigroup(S_T23, 2, 4)
 
 
@@ -259,7 +256,7 @@ def test_from_generators_infinite_complement():
 
 def test_from_generators_rejects_non_dual_semigroup():
     # <3,4,5> has gaps {1,2} but 3 and 0 are both members, breaking duality
-    with pytest.raises(InvalidSemigroup):
+    with pytest.raises(NotLSpaceShape, match="duality fails at 0"):
         from_generators({3, 4, 5})
 
 
@@ -271,7 +268,7 @@ def test_from_generators_matches_enumeration_oracle(gens):
         return
     try:
         sg = from_generators(gens)
-    except InvalidSemigroup:
+    except NotLSpaceShape:
         return  # non-dual numerical semigroups are not representable
     bound = 2 * sg.genus + max(gens)
     expected = enumerate_semigroup(gens, bound)
