@@ -91,6 +91,17 @@ def _cmd_semigroup(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an int >= 0; a non-integer keeps argparse's own int message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _upsilon_points(f, subdivisions: int) -> list[Fraction]:
     points = set(f.breakpoints)
     if subdivisions > 0:
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("semigroup", _cmd_semigroup, "gap-set complement, generators and closure")
     p_up = add("upsilon", _cmd_upsilon, "exact piecewise-linear upsilon function")
-    p_up.add_argument("--subdivisions", type=int, default=0, help="extra uniform sample points for csv output")
+    p_up.add_argument("--subdivisions", type=_nonnegative_int, default=0, help="extra uniform sample points for csv output")
     p_j = add("jumps", _cmd_jumps, "derivative jump spectrum")
     p_j.add_argument("--p", default="", help="comma-separated odd p for the 2/p vs 4/p comparison")
     add("decompose", _cmd_decompose, "expand upsilon in consecutive-torus upsilons")

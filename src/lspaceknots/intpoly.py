@@ -7,7 +7,7 @@ sparse because the Alexander polynomials handled here have few terms relative
 to their degree, and coefficients are plain Python ints because iterated
 cabling pushes degrees well past machine-word comfort.
 
-Besides ring arithmetic and exact division, this module builds the
+Besides multiplication and exact division, this module builds the
 unsymmetrized torus-knot Alexander polynomial
 (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and the cable product rule
 ``inner(t^p) * torus(p, q)``, and checks the L-space shape (coefficients
@@ -17,7 +17,6 @@ the exponents by ``semigroup.from_alexander``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -55,10 +54,6 @@ class IntPolynomial:
         """Build from a dense low-to-high coefficient list."""
         return cls.from_terms(enumerate(coeffs))
 
-    @cached_property
-    def _coeff_map(self) -> dict[int, int]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -76,9 +71,6 @@ class IntPolynomial:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.terms[-1][1]
 
-    def coefficient(self, exponent: int) -> int:
-        return self._coeff_map.get(exponent, 0)
-
     def coefficients(self) -> list[int]:
         """Dense low-to-high coefficient list (empty for the zero polynomial)."""
         if not self.terms:
@@ -87,12 +79,6 @@ class IntPolynomial:
         for e, c in self.terms:
             out[e] = c
         return out
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return IntPolynomial(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         acc: dict[int, int] = {}
@@ -122,10 +108,6 @@ class IntPolynomial:
 
 ZERO = IntPolynomial(())
 ONE = IntPolynomial(((0, 1),))
-
-
-def monomial(exponent: int, coefficient: int = 1) -> IntPolynomial:
-    return IntPolynomial.from_terms([(exponent, coefficient)])
 
 
 def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

@@ -9,6 +9,9 @@ sorted and any index 1 gives the unknot, (1, q)-cables collapse to the
 companion, cables of the unknot become torus knots, and cabling a cable
 appends a stage.  Genus is closed-form on towers, g' = p*g + (p-1)(q-1)/2, so
 certification checks q >= p(2g - 1) stage by stage without any polynomial.
+A candidate is checked in full when it is built: a polynomial without the
+L-space shape, or whose gap set fails duality or growth, raises
+NotLSpaceShape there, so certification builds no gap set for any knot.
 
 Integer linear combinations of knots are described by a small text grammar
 (whitespace-insensitive):
@@ -33,15 +36,9 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
-from . import intpoly, semigroup
+from . import semigroup
 from ._record import frozen
-from .errors import (
-    ConstraintError,
-    NotIteratedTorus,
-    NotLSpace,
-    NotLSpaceShape,
-    ParseError,
-)
+from .errors import ConstraintError, NotIteratedTorus, NotLSpace, ParseError
 from .intpoly import IntPolynomial, cable_alexander, torus_alexander
 
 
@@ -106,7 +103,7 @@ class ExplicitAlexander(KnotExpr):
     poly: IntPolynomial
 
     def __post_init__(self):
-        intpoly.validate_lspace_shape(self.poly)
+        semigroup.from_alexander(self.poly)  # shape, duality and growth
 
     def __str__(self):
         return "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
@@ -375,18 +372,14 @@ def certify_lspace(knot: KnotExpr) -> Certificate:
     Torus knots and the pretzel example are certified outright.  A cable is
     certified exactly when its core is and each stage (p, q) has
     q >= p(2g - 1), g the closed-form genus below it; the first violated
-    bound is reported otherwise.  Explicit Alexander candidates get only
-    the necessary checks of the gap-set constructor (duality and growth) and
-    are at best CANDIDATE, never CERTIFIED: the L-space property is not
-    decidable from the polynomial alone.
+    bound is reported otherwise.  An explicit Alexander candidate passed the
+    necessary checks of the gap-set constructor (duality and growth) when it
+    was built, so its core is CANDIDATE, never CERTIFIED: the L-space
+    property is not decidable from the polynomial alone.
     """
     core, stages = _core_and_stages(knot)
     cert = Certificate(LSpaceStatus.CERTIFIED)
     if isinstance(core, ExplicitAlexander):
-        try:
-            semigroup.from_alexander(core.poly)
-        except NotLSpaceShape as exc:
-            return Certificate(LSpaceStatus.NOT_LSPACE, str(exc))
         cert = Certificate(LSpaceStatus.CANDIDATE)
     g = genus(core)
     for p, q in stages:

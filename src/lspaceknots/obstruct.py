@@ -35,7 +35,6 @@ TWO = Fraction(2)
 
 class DecompositionFailure(Enum):
     NON_DYADIC_LOCATION = "non-dyadic-location"
-    RESIDUAL_NONZERO = "residual-nonzero"
 
 
 @frozen
@@ -63,9 +62,12 @@ def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
     """Greedy expansion of f in the upsilon functions of T(n, n+1).
 
     Repeatedly looks at the least breakpoint t1 of the residual: unless
-    t1 = 2/n for an integer n >= 2 the expansion fails, otherwise the
-    coefficient jump(t1)/n is peeled off.  The least breakpoint strictly
-    increases, so n strictly decreases and the loop terminates.
+    t1 = 2/n for an integer n the expansion fails, otherwise the coefficient
+    jump(t1)/n is peeled off.  Every upsilon of T(n, n+1) has value 0 at 0,
+    is symmetric about 1 and has its jumps at 2i/n, so the residual keeps the
+    two properties checked on entry.  A nonzero residual therefore has an
+    interior breakpoint t1 <= 1, which gives n >= 2, and the peel leaves only
+    breakpoints beyond t1, so n strictly decreases and the loop terminates.
     """
     if f(0) != 0:
         raise DomainError("decomposition needs f(0) = 0")
@@ -73,25 +75,13 @@ def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
         raise DomainError("decomposition needs the symmetry f(t) = f(2 - t)")
     coeffs: dict[int, Fraction] = {}
     residual = f
-    previous_n = None
     while not residual.is_zero:
-        if len(residual.breakpoints) == 2:
-            return Decomposition(
-                None, False, False, residual.breakpoints[1], DecompositionFailure.RESIDUAL_NONZERO
-            )
         t1 = residual.breakpoints[1]
         n_exact = TWO / t1
-        if n_exact.denominator != 1 or n_exact < 2:
-            return Decomposition(
-                None, False, False, t1, DecompositionFailure.NON_DYADIC_LOCATION
-            )
+        if n_exact.denominator != 1:
+            return Decomposition(None, False, False, t1, DecompositionFailure.NON_DYADIC_LOCATION)
         n = int(n_exact)
-        if previous_n is not None and n >= previous_n:
-            return Decomposition(
-                None, False, False, t1, DecompositionFailure.RESIDUAL_NONZERO
-            )
-        previous_n = n
-        c = jump_spectrum(residual)[t1] / n
+        c = (residual.slopes[1] - residual.slopes[0]) / n
         coeffs[n] = c
         residual = pl_combine([(1, residual), (-c, torus_consecutive_upsilon(n))])
     ordered = tuple(sorted(coeffs.items()))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, reduce
+from heapq import heappop, heappush
 from itertools import chain, count
 from math import gcd
 
@@ -100,10 +101,18 @@ def from_alexander(d: IntPolynomial) -> FormalSemigroup:
 
 
 def to_alexander(sg: FormalSemigroup) -> IntPolynomial:
-    """Exact inverse of :func:`from_alexander`: (1-t) * sum of t^s."""
-    finite = IntPolynomial.from_terms((s, 1) for s in sg.small_elements)
-    one_minus_t = IntPolynomial(((0, 1), (1, -1)))
-    return finite * one_minus_t + intpoly.monomial(2 * sg.genus)
+    """Exact inverse of :func:`from_alexander`: +t^lo - t^hi per run [lo, hi), then +t^{2g}.
+
+    The last run ends below 2g, because 2g - 1 is always a gap.
+    """
+    terms = []
+    for s in sg.small_elements:
+        if terms and terms[-1][0] == s:
+            terms[-1] = (s + 1, -1)  # s extends the current run
+        else:
+            terms += ((s, 1), (s + 1, -1))
+    terms.append((2 * sg.genus, 1))
+    return IntPolynomial(tuple(terms))
 
 
 def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
@@ -176,9 +185,10 @@ def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
 def from_generators(gens) -> FormalSemigroup:
     """Numerical semigroup generated by a set of positive integers with gcd 1.
 
-    Membership is sieved upward until a run of min(gens) consecutive members
-    appears, which proves every larger integer is a member; the gap count
-    then determines the genus and the constructor re-checks duality.
+    One shortest-path pass over the residues mod the least generator a gives
+    the Apery set w (w_j the least member congruent to j mod a).  Then s is a
+    member exactly when s >= w_{s mod a}, and Selmer's formula gives the
+    genus, g = sum(w)/a - (a-1)/2; the constructor re-checks duality.
     """
     gen_list = sorted(set(int(x) for x in gens))
     if not gen_list:
@@ -189,33 +199,19 @@ def from_generators(gens) -> FormalSemigroup:
     if d != 1:
         raise InfiniteComplement(f"gcd {d} > 1 leaves infinitely many gaps")
     a = gen_list[0]
-    if a == 1:
-        return FormalSemigroup(0, ())
-    second = gen_list[1] if len(gen_list) > 1 else gen_list[0]
-    bound = 2 * gen_list[-1] * second + a + 1
-    while True:
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for x in range(1, bound + 1):
-            for gen in gen_list:
-                if x >= gen and member[x - gen]:
-                    member[x] = 1
-                    break
-        conductor = None
-        run = 0
-        for x in range(bound + 1):
-            run = run + 1 if member[x] else 0
-            if run == a:
-                conductor = x - a + 1
-                break
-        if conductor is not None:
-            break
-        bound *= 2  # gcd 1 guarantees this terminates
-    g = sum(1 for x in range(conductor) if not member[x])
-    # the conductor never exceeds 2g, so everything in [conductor, 2g) is a member
-    small = [x for x in range(min(conductor, 2 * g)) if member[x]]
-    small.extend(range(conductor, 2 * g))
-    return FormalSemigroup(g, tuple(small))
+    apery = [None] * a
+    heap = [(0, 0)]
+    while heap:
+        w, j = heappop(heap)
+        if apery[j] is not None:
+            continue
+        apery[j] = w
+        for gen in gen_list[1:]:
+            k = (j + gen) % a
+            if apery[k] is None:
+                heappush(heap, (w + gen, k))
+    g = (sum(apery) - a * (a - 1) // 2) // a
+    return FormalSemigroup(g, tuple(s for s in range(2 * g) if s >= apery[s % a]))
 
 
 def min_nonzero(sg: FormalSemigroup) -> int:

@@ -224,6 +224,21 @@ def test_not_lspace_error_object(capsys):
     assert json.loads(err)["error"] == "NotLSpace"
 
 
+def test_candidate_failing_duality_is_a_shape_error(capsys):
+    code, out, err = run(capsys, "obstruct", "alex[1,-1,0,0,1]")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "NotLSpaceShape",
+        "message": "3 gaps below 2g = 4; exactly 2 required",
+    }
+
+
+def test_negative_subdivisions_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "upsilon", "T(2,3)", "--format", "csv", "--subdivisions", "-4")
+    assert code == 2 and out == ""
+    assert "argument --subdivisions: must be >= 0, got -4" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "lambda", "J(3)")[0] == 2  # --k is required

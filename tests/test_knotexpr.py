@@ -14,6 +14,7 @@ from lspaceknots import (
     LSpaceStatus,
     NotIteratedTorus,
     NotLSpace,
+    NotLSpaceShape,
     ParseError,
     PRETZEL_P237,
     Torus,
@@ -132,6 +133,11 @@ def test_parse_unknot_and_pretzel():
 def test_parse_explicit_alexander():
     comb = parse("alex[1,-1,1]")
     assert comb.items() == ((explicit_alexander(P([1, -1, 1])), 1),)
+
+
+def test_parse_rejects_a_candidate_that_fails_duality():
+    with pytest.raises(NotLSpaceShape, match="3 gaps below 2g = 4; exactly 2 required"):
+        parse("C(alex[1,-1,0,0,1];2,5)")
 
 
 def test_parse_error_offsets():
@@ -261,19 +267,19 @@ def test_certify_candidate_accepts_valid_polynomial():
 
 
 def test_certify_candidate_rejects_duality_failure():
-    cert = certify_lspace(explicit_alexander(P([1, -1, 0, 0, 1])))
-    assert cert.status is LSpaceStatus.NOT_LSPACE
+    with pytest.raises(NotLSpaceShape, match="3 gaps below 2g = 4; exactly 2 required"):
+        explicit_alexander(P([1, -1, 0, 0, 1]))
 
 
 def test_certify_candidate_rejects_growth_failure():
     # palindromic and alternating, but 3 members below 4: 1 - t + t^2 - t^4 + t^6 - t^7 + t^8
-    cert = certify_lspace(explicit_alexander(P([1, -1, 1, 0, -1, 0, 1, -1, 1])))
-    assert cert.status is LSpaceStatus.NOT_LSPACE
+    with pytest.raises(NotLSpaceShape, match="member 3 in position 2 is below the growth bound 4"):
+        explicit_alexander(P([1, -1, 1, 0, -1, 0, 1, -1, 1]))
 
 
 def test_certify_candidate_rejects_alpha1_bigger_than_one():
-    cert = certify_lspace(explicit_alexander(P([1, 0, -1, 0, 1])))
-    assert cert.status is LSpaceStatus.NOT_LSPACE
+    with pytest.raises(NotLSpaceShape, match="member 1 in position 1 is below the growth bound 2"):
+        explicit_alexander(P([1, 0, -1, 0, 1]))
 
 
 def _alternating(gaps):
@@ -304,7 +310,7 @@ def _reference_rejects(d: IntPolynomial) -> bool:
         return True
     members, running = [], 0
     for s in range(d.degree):
-        running += d.coefficient(s)
+        running += dict(d.terms).get(s, 0)
         if running:
             members.append(s)
     return any(s < 2 * i for i, s in enumerate(members))
@@ -312,8 +318,11 @@ def _reference_rejects(d: IntPolynomial) -> bool:
 
 @given(candidates)
 def test_certify_candidate_matches_reference_checks(d):
-    expected = LSpaceStatus.NOT_LSPACE if _reference_rejects(d) else LSpaceStatus.CANDIDATE
-    assert certify_lspace(explicit_alexander(d)).status is expected
+    if _reference_rejects(d):
+        with pytest.raises(NotLSpaceShape):
+            explicit_alexander(d)
+    else:
+        assert certify_lspace(explicit_alexander(d)).status is LSpaceStatus.CANDIDATE
 
 
 def test_classify_trefoil_cables():
@@ -364,7 +373,6 @@ def test_cable_constructor_checks_core_and_stages():
         ("C(C(P237;2,19);3,100)", 156, LSpaceStatus.NOT_LSPACE, "cable index q=100 is below p*(2g-1)=111"),
         ("C(alex[1,-1,1];2,5)", 4, LSpaceStatus.CANDIDATE, None),
         ("C(alex[1,-1,1];2,1)", 2, LSpaceStatus.NOT_LSPACE, "cable index q=1 is below p*(2g-1)=2"),
-        ("C(alex[1,-1,0,0,1];2,5)", 6, LSpaceStatus.NOT_LSPACE, "3 gaps below 2g = 4; exactly 2 required"),
     ],
 )
 def test_cables_of_non_torus_cores(text, genus_, status, reason):

@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lspaceknots import (
     Algebraicity,
     ConstraintError,
     DecompositionFailure,
     DomainError,
+    IntPolynomial,
     NotLSpace,
     PRETZEL_P237,
     PiecewiseLinear,
@@ -18,6 +20,7 @@ from lspaceknots import (
     algebraicity_report,
     cable,
     decompose_into_consecutive_torus,
+    explicit_alexander,
     independence_matrix,
     jfamily,
     jump_equality,
@@ -92,6 +95,27 @@ def test_decompose_reconstruction_on_sampled_towers():
             [(c, torus_consecutive_upsilon(n)) for n, c in dec.coefficients]
         )
         assert rebuilt == f
+
+
+DECOMPOSITION_POOL = (
+    *(jfamily(k) for k in (3, 4, 5)),
+    *(torus(n, n + 1) for n in (2, 3, 4, 5, 6)),
+    PRETZEL_P237,
+    cable(torus(2, 3), 2, 13),
+    cable(jfamily(3), 2, 57),
+    explicit_alexander(IntPolynomial.from_coeffs([1, -1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 1])),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(DECOMPOSITION_POOL), st.integers(-3, 3)), max_size=4))
+def test_decompose_random_combinations(terms):
+    f = pl_combine([(c, upsilon_of_knot(knot)) for knot, c in terms])
+    dec = decompose_into_consecutive_torus(f)
+    if dec.succeeded:
+        assert pl_combine([(c, torus_consecutive_upsilon(n)) for n, c in dec.coefficients]) == f
+    else:
+        assert dec.failure_reason is DecompositionFailure.NON_DYADIC_LOCATION
+        assert (2 / dec.failure_location).denominator != 1
 
 
 # --- jump comparisons -----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from lspaceknots import (
     Certificate,
     Decomposition,
+    FormalSemigroup,
     IntPolynomial,
     JumpComparison,
     LSpaceStatus,
@@ -102,9 +103,9 @@ def test_cached_properties_still_work():
     f = PiecewiseLinear((0, 1, 2), 0, (-1, 1))
     assert f.breakpoint_values == (0, -1, 0)
     assert f.breakpoint_values is f.breakpoint_values
-    poly = IntPolynomial(((0, 1), (2, -3)))
-    assert poly.coefficient(2) == -3 and poly.coefficient(1) == 0
-    assert poly._coeff_map is poly._coeff_map
+    sg = FormalSemigroup(2, (0, 2))
+    assert sg._small_set == {0, 2}
+    assert sg._small_set is sg._small_set
 
 
 def test_repr_names_the_fields():

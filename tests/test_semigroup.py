@@ -34,6 +34,7 @@ from lspaceknots.intpoly import ONE
 from strategies import certified_towers, formal_semigroups
 
 P = IntPolynomial.from_coeffs
+ONE_MINUS_T = P([1, -1])
 
 S_T37 = from_alexander(torus_alexander(3, 7))
 S_T23 = from_alexander(torus_alexander(2, 3))
@@ -95,6 +96,14 @@ def test_to_alexander_pretzel_reconstruction():
     assert to_alexander(FormalSemigroup(5, (0, 3, 5, 7, 8))) == P(
         [1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1]
     )
+
+
+@given(formal_semigroups())
+def test_to_alexander_matches_the_ring_route(sg):
+    series = IntPolynomial.from_terms((s, 1) for s in sg.small_elements)
+    ring = IntPolynomial.from_terms((series * ONE_MINUS_T).terms + ((2 * sg.genus, 1),))
+    assert to_alexander(sg) == ring  # (1 - t) * sum of t^s + t^{2g}
+    assert from_alexander(to_alexander(sg)) == sg
 
 
 @given(st.integers(2, 8), st.integers(3, 25))
@@ -260,7 +269,7 @@ def test_from_generators_rejects_non_dual_semigroup():
         from_generators({3, 4, 5})
 
 
-@given(st.sets(st.integers(2, 30), min_size=1, max_size=3))
+@given(st.sets(st.integers(2, 60), min_size=1, max_size=5))
 def test_from_generators_matches_enumeration_oracle(gens):
     from functools import reduce
 
@@ -274,6 +283,17 @@ def test_from_generators_matches_enumeration_oracle(gens):
     expected = enumerate_semigroup(gens, bound)
     actual = {x for x in range(bound + 1) if x in sg}
     assert actual == expected
+
+
+@settings(deadline=None)
+@given(certified_towers())
+def test_from_generators_matches_enumeration_oracle_on_towers(knot):
+    gens = iterated_torus_generators(knot)
+    sg = from_generators(gens)
+    bound = 2 * sg.genus + max(gens)
+    expected = enumerate_semigroup(gens, bound)
+    assert {x for x in range(bound + 1) if x in sg} == expected
+    assert sg.genus == bound + 1 - len(expected)  # every gap lies below 2g <= bound
 
 
 def test_iterated_torus_generators():
@@ -302,7 +322,7 @@ def dense_gap_set(d: IntPolynomial) -> FormalSemigroup:
     """Independent reference: the running sum of d's coefficients below its degree."""
     members, running = [], 0
     for s in range(d.degree):
-        running += d.coefficient(s)
+        running += dict(d.terms).get(s, 0)
         assert running in (0, 1)
         if running:
             members.append(s)
