@@ -62,13 +62,13 @@ def _print_csv(rows):
 
 def _cmd_semigroup(args) -> int:
     knot = _single_knot(_parse_knot(args.knot))
-    knotexpr.require_lspace(knot)
+    try:
+        generators = sorted(knotexpr.iterated_torus_generators(knot))  # certifies a tower
+    except NotIteratedTorus:
+        knotexpr.certify_lspace(knot)
+        generators = None
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
-    try:
-        generators = sorted(knotexpr.iterated_torus_generators(knot))
-    except NotIteratedTorus:
-        generators = None
     payload = {
         "knot": str(knot),
         "genus": sg.genus,
@@ -180,7 +180,7 @@ def _decomposition_payload(dec, decimal: bool):
         "all_integer": dec.all_integer,
         "all_nonnegative": dec.all_nonnegative,
         "failure_location": None if dec.failure_location is None else _fmt(dec.failure_location, decimal),
-        "failure_reason": dec.failure_reason.value if dec.failure_reason else None,
+        "failure_reason": dec.failure_reason,
     }
 
 
@@ -193,7 +193,7 @@ def _cmd_decompose(args) -> int:
             print(terms or "0")
             print("all integer:", dec.all_integer, "| all nonnegative:", dec.all_nonnegative)
         else:
-            print(f"no expansion: {dec.failure_reason.value} at t = {dec.failure_location}")
+            print(f"no expansion: {dec.failure_reason} at t = {dec.failure_location}")
     elif args.format == "csv":
         rows = [["n", "coefficient"]]
         rows += [[n, _fmt(c, args.decimal)] for n, c in dec.coefficients or ()]
@@ -208,7 +208,7 @@ def _cmd_obstruct(args) -> int:
     report = obstruct.algebraicity_report(knot)
     payload = {
         "knot": str(knot),
-        "certificate": report.certificate.status.value,
+        "certificate": report.certificate.value,
         "verdict": report.verdict.value,
         "reasons": list(report.reasons),
         "obstructions": {

@@ -10,9 +10,9 @@ cabling pushes degrees well past machine-word comfort.
 Besides multiplication and exact division, this module builds the
 unsymmetrized torus-knot Alexander polynomial
 (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) and the cable product rule
-``inner(t^p) * torus(p, q)``, and checks the L-space shape (coefficients
-alternating +1/-1 from a constant term 1).  The gap set itself is read off
-the exponents by ``semigroup.from_alexander``.
+``inner(t^p) * torus(p, q)``.  The L-space shape (coefficients alternating
++1/-1 from a constant term 1) is checked, and the gap set read off the
+exponents, by ``semigroup.from_alexander``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from ._record import frozen
-from .errors import ConstraintError, NotDivisible, NotLSpaceShape, ParseError
+from .errors import ConstraintError, NotDivisible, ParseError
 
 
 @frozen
@@ -182,21 +182,6 @@ def torus_alexander(p: int, q: int) -> IntPolynomial:
 def cable_alexander(inner: IntPolynomial, p: int, q: int) -> IntPolynomial:
     """Alexander polynomial of a (p, q)-cable: inner evaluated at t^p times the torus factor."""
     return substitute_power(inner, p) * torus_alexander(p, q)
-
-
-def validate_lspace_shape(a: IntPolynomial) -> None:
-    """Require coefficients alternating +1/-1 from a constant term 1, and even degree."""
-    if a.is_zero:
-        raise NotLSpaceShape("the zero polynomial has no gap set")
-    if a.terms[0] != (0, 1):
-        raise NotLSpaceShape("constant term must be 1")
-    for i, (_, c) in enumerate(a.terms):
-        if c != (1 if i % 2 == 0 else -1):
-            raise NotLSpaceShape("coefficients must alternate between 1 and -1")
-    if len(a.terms) % 2 == 0:
-        raise NotLSpaceShape("the number of terms must be odd")
-    if a.degree % 2 != 0:
-        raise NotLSpaceShape(f"degree {a.degree} must be even")
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

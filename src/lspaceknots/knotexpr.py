@@ -8,10 +8,12 @@ normalises, so equality is equality of canonical forms: torus indices are
 sorted and any index 1 gives the unknot, (1, q)-cables collapse to the
 companion, cables of the unknot become torus knots, and cabling a cable
 appends a stage.  Genus is closed-form on towers, g' = p*g + (p-1)(q-1)/2, so
-certification checks q >= p(2g - 1) stage by stage without any polynomial.
-A candidate is checked in full when it is built: a polynomial without the
-L-space shape, or whose gap set fails duality or growth, raises
-NotLSpaceShape there, so certification builds no gap set for any knot.
+``certify_lspace``, the one L-space gate, checks Hedden's bound
+q >= p(2g - 1) stage by stage without any polynomial and raises NotLSpace
+at the first stage below it.  A candidate is checked in full when it is
+built: a polynomial without the L-space shape, or whose gap set fails
+duality or growth, raises NotLSpaceShape there, so certification builds no
+gap set for any knot.
 
 Integer linear combinations of knots are described by a small text grammar
 (whitespace-insensitive):
@@ -351,13 +353,6 @@ def tower(knot: KnotExpr) -> list[tuple[int, int]]:
 class LSpaceStatus(Enum):
     CERTIFIED = "certified"
     CANDIDATE = "candidate"
-    NOT_LSPACE = "not-lspace"
-
-
-@frozen
-class Certificate:
-    status: LSpaceStatus
-    reason: str | None = None
 
 
 class Algebraicity(Enum):
@@ -366,39 +361,26 @@ class Algebraicity(Enum):
     UNKNOWN = "unknown"
 
 
-def certify_lspace(knot: KnotExpr) -> Certificate:
-    """Decide whether the expression describes an L-space knot.
+def certify_lspace(knot: KnotExpr) -> LSpaceStatus:
+    """The gate in front of every invariant that assumes an L-space knot.
 
-    Torus knots and the pretzel example are certified outright.  A cable is
-    certified exactly when its core is and each stage (p, q) has
-    q >= p(2g - 1), g the closed-form genus below it; the first violated
-    bound is reported otherwise.  An explicit Alexander candidate passed the
-    necessary checks of the gap-set constructor (duality and growth) when it
-    was built, so its core is CANDIDATE, never CERTIFIED: the L-space
-    property is not decidable from the polynomial alone.
+    Torus knots and the pretzel example are CERTIFIED outright.  A cable is
+    an L-space knot exactly when its core is and each stage (p, q) has
+    q >= p(2g - 1), g the closed-form genus below it (Hedden); the first
+    stage below that bound raises NotLSpace.  An explicit Alexander
+    candidate passed the necessary checks of the gap-set constructor
+    (duality and growth) when it was built, so its core is CANDIDATE, never
+    CERTIFIED: the L-space property is not decidable from the polynomial
+    alone.  This is the only place that checks the bound.
     """
     core, stages = _core_and_stages(knot)
-    cert = Certificate(LSpaceStatus.CERTIFIED)
-    if isinstance(core, ExplicitAlexander):
-        cert = Certificate(LSpaceStatus.CANDIDATE)
     g = genus(core)
     for p, q in stages:
         bound = p * (2 * g - 1)
         if q < bound:
-            return Certificate(LSpaceStatus.NOT_LSPACE, f"cable index q={q} is below p*(2g-1)={bound}")
+            raise NotLSpace(f"cable index q={q} is below p*(2g-1)={bound}")
         g = p * g + (p - 1) * (q - 1) // 2
-    return cert
-
-
-def require_lspace(knot: KnotExpr) -> Certificate:
-    """The certificate of ``knot``; raises NotLSpace when it is NOT_LSPACE.
-
-    The one gate in front of every invariant that assumes an L-space knot.
-    """
-    cert = certify_lspace(knot)
-    if cert.status is LSpaceStatus.NOT_LSPACE:
-        raise NotLSpace(cert.reason or f"{knot} is not an L-space knot")
-    return cert
+    return LSpaceStatus.CANDIDATE if isinstance(core, ExplicitAlexander) else LSpaceStatus.CERTIFIED
 
 
 def classify_algebraic(knot: KnotExpr) -> Algebraicity:
@@ -419,13 +401,15 @@ def classify_algebraic(knot: KnotExpr) -> Algebraicity:
 
 
 def iterated_torus_generators(knot: KnotExpr) -> set[int]:
-    """Generators of the gap-set complement of a certified iterated-torus knot.
+    """Generators of the gap-set complement of an iterated-torus L-space knot.
 
+    Raises NotIteratedTorus for a core that is not a torus knot, then
+    certifies the tower, so a stage below Hedden's bound raises NotLSpace.
     For a tower with stages (p_1, q_1), ..., (p_m, q_m) the generators are
     p_1*p_2*...*p_m, q_1*p_2*...*p_m, q_2*p_3*...*p_m, ..., q_{m-1}*p_m, q_m.
     """
     stages = tower(knot)
-    require_lspace(knot)
+    certify_lspace(knot)
     out, suffix = set(), 1
     for p, q in reversed(stages):
         out.add(q * suffix)

@@ -27,14 +27,10 @@ from fractions import Fraction
 from . import knotexpr, semigroup, upsilon
 from ._record import frozen
 from .errors import ConstraintError, DomainError
-from .knotexpr import Algebraicity, Certificate, KnotExpr
+from .knotexpr import Algebraicity, KnotExpr, LSpaceStatus
 from .upsilon import PiecewiseLinear, jump_spectrum, pl_combine, torus_consecutive_upsilon
 
 TWO = Fraction(2)
-
-
-class DecompositionFailure(Enum):
-    NON_DYADIC_LOCATION = "non-dyadic-location"
 
 
 @frozen
@@ -43,19 +39,29 @@ class Decomposition:
 
     On success ``coefficients`` maps n to the (possibly rational, possibly
     negative) coefficient of the T(n, n+1) upsilon and recombining them
-    reproduces the input exactly; on failure they are None and the location
-    of the unpeelable singularity is recorded.
+    reproduces the input exactly; on failure they are None and
+    ``failure_location`` is the least breakpoint t1, where 2/t1 is not an
+    integer.
     """
 
     coefficients: tuple[tuple[int, Fraction], ...] | None
-    all_integer: bool
-    all_nonnegative: bool
     failure_location: Fraction | None = None
-    failure_reason: DecompositionFailure | None = None
 
     @property
     def succeeded(self) -> bool:
         return self.coefficients is not None
+
+    @property
+    def all_integer(self) -> bool:
+        return self.succeeded and all(c.denominator == 1 for _, c in self.coefficients)
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return self.succeeded and all(c >= 0 for _, c in self.coefficients)
+
+    @property
+    def failure_reason(self) -> str | None:
+        return None if self.failure_location is None else "non-dyadic-location"
 
 
 def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
@@ -79,17 +85,12 @@ def decompose_into_consecutive_torus(f: PiecewiseLinear) -> Decomposition:
         t1 = residual.breakpoints[1]
         n_exact = TWO / t1
         if n_exact.denominator != 1:
-            return Decomposition(None, False, False, t1, DecompositionFailure.NON_DYADIC_LOCATION)
+            return Decomposition(None, t1)
         n = int(n_exact)
         c = (residual.slopes[1] - residual.slopes[0]) / n
         coeffs[n] = c
         residual = pl_combine([(1, residual), (-c, torus_consecutive_upsilon(n))])
-    ordered = tuple(sorted(coeffs.items()))
-    return Decomposition(
-        ordered,
-        all(c.denominator == 1 for _, c in ordered),
-        all(c >= 0 for _, c in ordered),
-    )
+    return Decomposition(tuple(sorted(coeffs.items())))
 
 
 @frozen
@@ -155,7 +156,7 @@ class ObstructionReport:
     """Aggregated algebraicity obstructions for a single knot expression."""
 
     knot: KnotExpr
-    certificate: Certificate
+    certificate: LSpaceStatus
     closed: bool
     closure_witness: tuple[int, int] | None
     jump_equality_failures: tuple[JumpComparison, ...]
@@ -178,7 +179,7 @@ def _candidate_odd_ps(spectrum: dict[Fraction, Fraction]) -> list[int]:
 
 def algebraicity_report(knot: KnotExpr) -> ObstructionReport:
     """Run all four obstructions; only the index criterion can affirm algebraicity."""
-    cert = knotexpr.require_lspace(knot)
+    status = knotexpr.certify_lspace(knot)
     sg = semigroup.from_alexander(knotexpr.alexander(knot))
     witness = semigroup.closure_witness(sg)
     f = upsilon.upsilon_from_semigroup(sg)
@@ -211,7 +212,7 @@ def algebraicity_report(knot: KnotExpr) -> ObstructionReport:
         verdict = Verdict.NO_OBSTRUCTION_FOUND
     return ObstructionReport(
         knot=knot,
-        certificate=cert,
+        certificate=status,
         closed=witness is None,
         closure_witness=witness,
         jump_equality_failures=failures,

@@ -13,8 +13,16 @@ then have no generating set; 2g is the canonical cutoff.
 An L-space Alexander polynomial is t^{n_0} - t^{n_1} + ... + t^{n_{2r}} with
 n_0 = 0 and n_{2r} = 2g, and S is the support of its quotient by 1 - t, so
 the members below 2g are the runs [n_0, n_1), [n_2, n_3), ....
-``from_alexander`` is the only place that reads S off a polynomial, and the
-constructor is the only place that checks it.
+``from_alexander`` is the only place that reads S off a polynomial and
+checks that shape; the constructor is the only place that checks S.
+
+Cabling multiplies Alexander polynomials, Delta_{C(K;p,q)}(t) =
+Delta_K(t^p) * Delta_{T(p,q)}(t), so the series of the cable's S is
+S_K(t^p) * (1 + t^q + ... + t^{(p-1)q}): the disjoint union of the p
+translates p*S + b*q, b < p.
+``cable_semigroup`` builds that union for every coprime (p, q); whether the
+cable is an L-space knot (Hedden's bound q >= p(2g - 1)) is decided by
+``knotexpr.certify_lspace`` alone.
 """
 
 from __future__ import annotations
@@ -25,9 +33,8 @@ from heapq import heappop, heappush
 from itertools import chain, count
 from math import gcd
 
-from . import intpoly
 from ._record import frozen
-from .errors import ConstraintError, InfiniteComplement, NotLSpace, NotLSpaceShape, Undefined
+from .errors import ConstraintError, InfiniteComplement, NotLSpaceShape, Undefined
 from .intpoly import IntPolynomial
 
 
@@ -91,10 +98,22 @@ class FormalSemigroup:
 def from_alexander(d: IntPolynomial) -> FormalSemigroup:
     """Gap-set complement of an Alexander polynomial: the support of d(t)/(1-t).
 
-    The members below 2g are the runs between consecutive exponent pairs;
-    the constructor then checks duality and growth.
+    The polynomial needs the L-space shape: coefficients alternating +1/-1
+    from a constant term 1, and even degree.  The members below 2g are then
+    the runs between consecutive exponent pairs; the constructor checks
+    duality and growth.
     """
-    intpoly.validate_lspace_shape(d)
+    if d.is_zero:
+        raise NotLSpaceShape("the zero polynomial has no gap set")
+    if d.terms[0] != (0, 1):
+        raise NotLSpaceShape("constant term must be 1")
+    for i, (_, c) in enumerate(d.terms):
+        if c != (1 if i % 2 == 0 else -1):
+            raise NotLSpaceShape("coefficients must alternate between 1 and -1")
+    if len(d.terms) % 2 == 0:
+        raise NotLSpaceShape("the number of terms must be odd")
+    if d.degree % 2 != 0:
+        raise NotLSpaceShape(f"degree {d.degree} must be even")
     exps = [e for e, _ in d.terms]
     small = tuple(s for lo, hi in zip(exps[::2], exps[1::2]) for s in range(lo, hi))
     return FormalSemigroup(d.degree // 2, small)
@@ -155,10 +174,13 @@ def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
 
 
 def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
-    """Image p*S + q*Z>=0 of the (p, q)-cabling, valid only for q >= p(2g - 1).
+    """Gap-set complement of the (p, q)-cable: the union of p*S + b*q over b < p.
 
-    Below that bound the displayed set need not be the cable's gap-set
-    complement, so the call is rejected rather than computed.
+    The translates lie in distinct classes mod p, so the union is disjoint
+    and its series is that of the cable Alexander polynomial; the
+    constructor accepts or rejects it exactly as ``from_alexander`` does
+    that polynomial.  For q >= p(2g - 1), S + q lies in S and the union is
+    p*S + q*Z>=0.
     """
     if p < 2:
         raise ConstraintError(f"cabling needs p >= 2, got {p}")
@@ -166,20 +188,15 @@ def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
         raise ConstraintError(f"cabling needs q >= 1, got {q}")
     if gcd(p, q) != 1:
         raise ConstraintError(f"cable indices ({p}, {q}) must be coprime")
-    g = sg.genus
-    bound = p * (2 * g - 1)
-    if q < bound:
-        raise NotLSpace(f"q={q} is below p*(2g-1)={bound}")
-    g2 = p * g + (p - 1) * (q - 1) // 2
-    limit = 2 * g2
-    small = set()
-    for base in range(0, limit, q):
-        for member in chain(sg.small_elements, count(2 * g)):
-            s = p * member + base
-            if s >= limit:
+    g2 = p * sg.genus + (p - 1) * (q - 1) // 2
+    small = []
+    for b in range(p):
+        for member in chain(sg.small_elements, count(2 * sg.genus)):
+            s = p * member + b * q
+            if s >= 2 * g2:
                 break
-            small.add(s)
-    return FormalSemigroup(g2, tuple(sorted(small)))
+            small.append(s)
+    return FormalSemigroup(g2, tuple(small))
 
 
 def from_generators(gens) -> FormalSemigroup:

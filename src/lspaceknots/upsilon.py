@@ -192,7 +192,7 @@ def torus_consecutive_upsilon(n: int) -> PiecewiseLinear:
 @lru_cache(maxsize=None)
 def upsilon_of_knot(knot: KnotExpr) -> PiecewiseLinear:
     """Upsilon of a single certified (or candidate) L-space knot."""
-    knotexpr.require_lspace(knot)
+    knotexpr.certify_lspace(knot)
     return upsilon_from_semigroup(semigroup.from_alexander(knotexpr.alexander(knot)))
 
 

@@ -1,13 +1,18 @@
 """Command-line interface: payloads, formats, exit codes, error objects."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lspaceknots
+from lspaceknots import errors, knotexpr
 from lspaceknots.cli import main
 
 
@@ -47,6 +52,18 @@ def test_semigroup_accepts_polynomial_text(capsys):
     assert payload["genus"] == 6
     assert payload["small_elements"] == [0, 3, 6, 7, 9, 10]
     assert payload["generators"] is None  # explicit candidates carry no tower
+
+
+@pytest.mark.parametrize(
+    "text", ["C(C(T(2,3);2,13);3,83)", "P237", "alex[1,-1,0,1,-1,0,1,0,-1,1,0,-1,1]"]
+)
+def test_semigroup_certifies_once(capsys, monkeypatch, text):
+    certified = []
+    certify_lspace = knotexpr.certify_lspace
+    monkeypatch.setattr(knotexpr, "certify_lspace", lambda k: certified.append(str(k)) or certify_lspace(k))
+    code, out, _ = run(capsys, "semigroup", text)
+    assert code == 0
+    assert certified == [text]
 
 
 def test_semigroup_requires_single_knot(capsys):
@@ -294,12 +311,99 @@ def test_closed_stdout_exits_1_with_empty_stderr():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lspaceknots.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["upsilon", "T(40,41)", "--format", "csv", "--subdivisions", "20000"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "lspaceknots.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"t,upsilon\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    ) as proc:  # closes both pipes on the way out
+        assert proc.stdout.readline() == b"t,upsilon\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+# --- no input gives an "internal" error -------------------------------------------
+
+# every run of digits is capped at 2: no size budget guards T(99999,100000) yet
+NUMBER = st.integers(0, 99).map(str)
+TORUS = st.builds("T({},{})".format, NUMBER, NUMBER)
+ALEX = st.lists(st.integers(-1, 1) | st.integers(-99, 99), min_size=1, max_size=12).map(
+    lambda cs: "alex[" + ",".join(map(str, cs)) + "]"
+)
+LSPACE_ATOMS = ["U", "P237", "T(2,3)", "T(3,7)", "J(3)", "C(T(2,3);2,13)", "C(C(T(2,3);2,13);3,83)", "alex[1,-1,1]"]
+BASE_ATOM = st.one_of(TORUS, st.builds("J({})".format, NUMBER), st.sampled_from(LSPACE_ATOMS), ALEX)
+
+
+def _atoms(depth):
+    if depth == 0:
+        return BASE_ATOM
+    return BASE_ATOM | st.builds("C({};{},{})".format, _atoms(depth - 1), NUMBER, NUMBER)
+
+
+ATOM = _atoms(3)
+COMBINATION = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-"]), st.just("") | NUMBER.map("{}*".format), ATOM),
+    min_size=1, max_size=3,
+).map(lambda terms: " ".join(sign + mult + atom for sign, mult, atom in terms))
+POLYNOMIAL_TERM = st.one_of(NUMBER, st.just("t"), NUMBER.map("t^{}".format), st.builds("{}*t^{}".format, NUMBER, NUMBER))
+POLYNOMIAL = st.lists(st.tuples(st.sampled_from(["", "+ ", "- "]), POLYNOMIAL_TERM), min_size=1, max_size=6).map(
+    lambda terms: " ".join(sign + term for sign, term in terms)
+)
+TOKENS = ["T", "C", "J", "P237", "U", "alex", "(", ")", "[", "]", ",", ";", "*", "+", "-", " ", "t", "^", "0", "1", "7", "13", "x"]
+SOUP = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+KNOT_TEXT = st.one_of(ATOM, COMBINATION, POLYNOMIAL, SOUP).map(lambda text: re.sub(r"\d{3,}", lambda m: m[0][:2], text))
+
+NOT_INT = st.sampled_from(["", "x", "1.5"])
+INT_TEXT = st.one_of(st.integers(-3, 99).map(str), st.integers(3, 12).map(str), NOT_INT)
+OPTIONS = {
+    "--format": st.sampled_from(["json", "csv", "text", "xml"]),
+    "--decimal": st.none(),
+    "--subdivisions": INT_TEXT,
+    "--p": st.lists(INT_TEXT, max_size=3).map(",".join),
+    "--k": INT_TEXT,
+}
+OWN_OPTIONS = {
+    "semigroup": [],
+    "upsilon": ["--subdivisions"],
+    "jumps": ["--p"],
+    "decompose": [],
+    "obstruct": [],
+    "lambda": ["--k"],
+}
+DOMAIN_ERRORS = {name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.DomainError)}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from([*OWN_OPTIONS, "matrix"]))
+    if command == "matrix":
+        kmin = draw(st.integers(-3, 99))
+        kmax = min(kmin + draw(st.integers(-2, 5)), 99)  # a small span: each cell costs a jump comparison
+        argv = [command, "--kmin", draw(st.just(str(kmin)) | NOT_INT), "--kmax", str(kmax)]
+    else:
+        argv = [command, draw(KNOT_TEXT)]
+    names = draw(st.lists(st.sampled_from(["--format", "--decimal", *OWN_OPTIONS.get(command, [])]), max_size=3))
+    if command == "lambda" and draw(st.integers(0, 9)):
+        names.append("--k")  # required, so mostly present
+    if not draw(st.integers(0, 9)):
+        names.append(draw(st.sampled_from(sorted(OPTIONS))))  # maybe one the command does not take
+    for name in names:
+        value = draw(OPTIONS[name])
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+def test_errors_module_has_ten_domain_error_classes():
+    assert len(DOMAIN_ERRORS) == 10
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_argvs())
+def test_cli_never_gives_an_internal_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        payload = json.loads(err.getvalue())  # one JSON object and nothing else
+        assert payload["error"] in DOMAIN_ERRORS, (argv, payload)

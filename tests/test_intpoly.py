@@ -23,7 +23,7 @@ from lspaceknots import (
     torus,
     torus_alexander,
 )
-from lspaceknots.intpoly import ONE, ZERO, validate_lspace_shape
+from lspaceknots.intpoly import ONE, ZERO
 
 P = IntPolynomial.from_coeffs
 
@@ -213,14 +213,14 @@ def test_prefix_times_one_minus_t_recovers_input(p, q, bound):
 
 
 def test_validate_lspace_shape_rejections():
-    with pytest.raises(NotLSpaceShape):
-        validate_lspace_shape(ZERO)
-    with pytest.raises(NotLSpaceShape):
-        validate_lspace_shape(P([2, -1, 1]))
-    with pytest.raises(NotLSpaceShape):
-        validate_lspace_shape(P([1, -2, 1]))
-    with pytest.raises(NotLSpaceShape):
-        validate_lspace_shape(P([1, -1]))  # odd degree, even term count
+    with pytest.raises(NotLSpaceShape, match="^the zero polynomial has no gap set$"):
+        from_alexander(ZERO)
+    with pytest.raises(NotLSpaceShape, match="^constant term must be 1$"):
+        from_alexander(P([2, -1, 1]))
+    with pytest.raises(NotLSpaceShape, match="^coefficients must alternate between 1 and -1$"):
+        from_alexander(P([1, -2, 1]))
+    with pytest.raises(NotLSpaceShape, match="^the number of terms must be odd$"):
+        from_alexander(P([1, -1]))  # odd degree, even term count
 
 
 def test_zero_polynomial_has_no_degree():

@@ -1,5 +1,6 @@
 """Knot expression trees, the text grammar, and the certification logic."""
 
+import re
 from math import gcd
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from lspaceknots import (
     Algebraicity,
     Cable,
-    Certificate,
     ConstraintError,
     IntPolynomial,
     LSpaceStatus,
@@ -236,7 +236,8 @@ def test_closed_form_genus_matches_degree_and_generators(knot):
 @settings(deadline=None)
 @given(towers_below_hedden_bound())
 def test_closed_form_genus_matches_degree_below_the_bound(knot):
-    assert certify_lspace(knot).status is LSpaceStatus.NOT_LSPACE
+    with pytest.raises(NotLSpace, match=r"cable index q=\d+ is below p\*\(2g-1\)=\d+"):
+        certify_lspace(knot)
     assert genus(knot) == alexander(knot).degree // 2
 
 
@@ -244,26 +245,24 @@ def test_closed_form_genus_matches_degree_below_the_bound(knot):
 
 
 def test_certify_torus_and_pretzel():
-    assert certify_lspace(torus(3, 7)).status is LSpaceStatus.CERTIFIED
-    assert certify_lspace(UNKNOT).status is LSpaceStatus.CERTIFIED
-    assert certify_lspace(PRETZEL_P237).status is LSpaceStatus.CERTIFIED
+    assert certify_lspace(torus(3, 7)) is LSpaceStatus.CERTIFIED
+    assert certify_lspace(UNKNOT) is LSpaceStatus.CERTIFIED
+    assert certify_lspace(PRETZEL_P237) is LSpaceStatus.CERTIFIED
 
 
 def test_certify_cable_bound():
-    assert certify_lspace(cable(torus(2, 3), 2, 3)).status is LSpaceStatus.CERTIFIED
-    rejected = certify_lspace(cable(torus(2, 3), 2, 1))
-    assert rejected.status is LSpaceStatus.NOT_LSPACE
-    assert "q=1" in rejected.reason
+    assert certify_lspace(cable(torus(2, 3), 2, 3)) is LSpaceStatus.CERTIFIED
+    with pytest.raises(NotLSpace, match=r"^cable index q=1 is below p\*\(2g-1\)=2$"):
+        certify_lspace(cable(torus(2, 3), 2, 1))
 
 
 @given(st.integers(3, 20))
 def test_certify_jfamily(k):
-    assert certify_lspace(jfamily(k)).status is LSpaceStatus.CERTIFIED
+    assert certify_lspace(jfamily(k)) is LSpaceStatus.CERTIFIED
 
 
 def test_certify_candidate_accepts_valid_polynomial():
-    cert = certify_lspace(explicit_alexander(torus_alexander(3, 7)))
-    assert cert.status is LSpaceStatus.CANDIDATE
+    assert certify_lspace(explicit_alexander(torus_alexander(3, 7))) is LSpaceStatus.CANDIDATE
 
 
 def test_certify_candidate_rejects_duality_failure():
@@ -322,7 +321,7 @@ def test_certify_candidate_matches_reference_checks(d):
         with pytest.raises(NotLSpaceShape):
             explicit_alexander(d)
     else:
-        assert certify_lspace(explicit_alexander(d)).status is LSpaceStatus.CANDIDATE
+        assert certify_lspace(explicit_alexander(d)) is LSpaceStatus.CANDIDATE
 
 
 def test_classify_trefoil_cables():
@@ -369,17 +368,21 @@ def test_cable_constructor_checks_core_and_stages():
     "text, genus_, status, reason",
     [
         ("C(P237;2,19)", 19, LSpaceStatus.CERTIFIED, None),
-        ("C(P237;2,17)", 18, LSpaceStatus.NOT_LSPACE, "cable index q=17 is below p*(2g-1)=18"),
-        ("C(C(P237;2,19);3,100)", 156, LSpaceStatus.NOT_LSPACE, "cable index q=100 is below p*(2g-1)=111"),
+        ("C(P237;2,17)", 18, None, "cable index q=17 is below p*(2g-1)=18"),
+        ("C(C(P237;2,19);3,100)", 156, None, "cable index q=100 is below p*(2g-1)=111"),
         ("C(alex[1,-1,1];2,5)", 4, LSpaceStatus.CANDIDATE, None),
-        ("C(alex[1,-1,1];2,1)", 2, LSpaceStatus.NOT_LSPACE, "cable index q=1 is below p*(2g-1)=2"),
+        ("C(alex[1,-1,1];2,1)", 2, None, "cable index q=1 is below p*(2g-1)=2"),
     ],
 )
 def test_cables_of_non_torus_cores(text, genus_, status, reason):
     (knot, _), = parse(text).items()
     assert str(knot) == text
     assert genus(knot) == genus_ == alexander(knot).degree // 2
-    assert certify_lspace(knot) == Certificate(status, reason)
+    if reason is None:
+        assert certify_lspace(knot) is status
+    else:
+        with pytest.raises(NotLSpace, match=f"^{re.escape(reason)}$"):
+            certify_lspace(knot)
     assert classify_algebraic(knot) is Algebraicity.UNKNOWN
     with pytest.raises(NotIteratedTorus):
         tower(knot)
@@ -389,19 +392,22 @@ def test_cables_of_non_torus_cores(text, genus_, status, reason):
     "text, genus_, status",
     [
         ("C(C(C(T(3,4);3,71);2,853);3,3503)", 5254, LSpaceStatus.CERTIFIED),
-        ("C(C(C(T(3,4);3,71);2,853);3,10)", 1761, LSpaceStatus.NOT_LSPACE),
+        ("C(C(C(T(3,4);3,71);2,853);3,10)", 1761, None),
     ],
 )
 def test_tower_gate_builds_no_polynomial(text, genus_, status):
     (knot, _), = parse(text).items()
     alexander.cache_clear()
-    assert certify_lspace(knot).status is status
     assert genus(knot) == genus_
     assert classify_algebraic(knot) is Algebraicity.NOT_ALGEBRAIC
     if status is LSpaceStatus.CERTIFIED:
+        assert certify_lspace(knot) is status
         assert iterated_torus_generators(knot) == {54, 72, 426, 2559, 3503}
     else:
-        with pytest.raises(NotLSpace):
+        bound = r"^cable index q=10 is below p\*\(2g-1\)=3501$"
+        with pytest.raises(NotLSpace, match=bound):
+            certify_lspace(knot)
+        with pytest.raises(NotLSpace, match=bound):
             iterated_torus_generators(knot)
     assert alexander.cache_info().currsize == 0
 
@@ -420,4 +426,4 @@ def test_algebraic_towers_are_certified(inner_pq, p, q):
         return
     knot = cable(torus(*inner_pq), p, q)
     if classify_algebraic(knot) is Algebraicity.ALGEBRAIC:
-        assert certify_lspace(knot).status is LSpaceStatus.CERTIFIED
+        assert certify_lspace(knot) is LSpaceStatus.CERTIFIED

@@ -5,12 +5,10 @@ from fractions import Fraction
 import pytest
 
 from lspaceknots import (
-    Certificate,
     Decomposition,
     FormalSemigroup,
     IntPolynomial,
     JumpComparison,
-    LSpaceStatus,
     PiecewiseLinear,
     Torus,
     UNKNOT,
@@ -34,7 +32,7 @@ def test_equality_needs_same_class_and_same_fields():
     assert Pair(2, 3) != Torus(2, 3)  # same field names and values, other class
     assert Torus(2, 3) != (2, 3) and (2, 3) != Torus(2, 3)
     assert Torus(2, 3).__eq__((2, 3)) is NotImplemented
-    assert Certificate(LSpaceStatus.CERTIFIED) != Certificate(LSpaceStatus.CERTIFIED, "x")
+    assert Decomposition(None) != Decomposition(None, F(4, 5))
 
 
 def test_hash_agrees_with_equality():
@@ -58,18 +56,15 @@ def test_assignment_and_deletion_raise():
 
 
 def test_defaults_and_keyword_construction():
-    cert = Certificate(LSpaceStatus.CERTIFIED)
-    assert cert.reason is None
-    assert cert == Certificate(LSpaceStatus.CERTIFIED, None)
-    assert hash(cert) == hash(Certificate(LSpaceStatus.CERTIFIED, None))
-    assert Certificate(reason="r", status=LSpaceStatus.NOT_LSPACE) == Certificate(
-        LSpaceStatus.NOT_LSPACE, "r"
-    )
-    dec = Decomposition(((2, F(1)),), True, True)
+    dec = Decomposition(((2, F(1)),))
     assert dec.failure_location is None and dec.failure_reason is None
-    assert Decomposition(None, all_integer=False, all_nonnegative=False, failure_location=F(4, 5)) == (
-        Decomposition(None, False, False, F(4, 5), None)
-    )
+    assert dec == Decomposition(((2, F(1)),), None)
+    assert hash(dec) == hash(Decomposition(((2, F(1)),), None))
+    assert dec.all_integer and dec.all_nonnegative  # derived from the coefficients
+    failed = Decomposition(failure_location=F(4, 5), coefficients=None)
+    assert failed == Decomposition(None, F(4, 5))
+    assert failed.failure_reason == "non-dyadic-location"
+    assert not (failed.succeeded or failed.all_integer or failed.all_nonnegative)
     assert Torus(q=3, p=2) == Torus(2, 3)
     assert JumpComparison(3, jump_at_4_over_p=F(1), jump_at_2_over_p=F(1)).equal
 
@@ -81,7 +76,7 @@ def test_defaults_and_keyword_construction():
         lambda: Torus(2, 3, 5),  # too many positional arguments
         lambda: Torus(2, 3, r=1),  # unknown keyword
         lambda: Torus(2, p=3),  # a field given twice
-        lambda: Certificate(),
+        lambda: Decomposition(),
     ],
 )
 def test_bad_arguments_raise_type_error(build):
@@ -110,8 +105,8 @@ def test_cached_properties_still_work():
 
 def test_repr_names_the_fields():
     assert repr(Torus(2, 3)) == "Torus(p=2, q=3)"
-    assert repr(Certificate(LSpaceStatus.CANDIDATE)) == (
-        "Certificate(status=<LSpaceStatus.CANDIDATE: 'candidate'>, reason=None)"
+    assert repr(Decomposition(None, F(4, 5))) == (
+        "Decomposition(coefficients=None, failure_location=Fraction(4, 5))"
     )
     assert repr(IntPolynomial(((0, 1),))) == "IntPolynomial(terms=((0, 1),))"
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
     ConstraintError,
+    DomainError,
     FormalSemigroup,
     InfiniteComplement,
     IntPolynomial,
@@ -211,9 +212,11 @@ def test_cable_semigroup_of_unknot_set():
     assert cable_semigroup(FormalSemigroup(0, ()), 3, 5) == from_generators({3, 5})
 
 
-def test_cable_semigroup_rejects_low_q():
-    with pytest.raises(NotLSpace, match=r"q=13 is below p\*\(2g-1\)=22"):
-        cable_semigroup(S_T37, 2, 13)  # bound is 2*(2*6-1) = 22
+def test_cable_semigroup_below_the_bound_follows_the_product_rule():
+    out = cable_semigroup(S_T37, 2, 13)  # Hedden's bound is 2*(2*6-1) = 22
+    assert out.genus == 18
+    assert out.small_elements == (0, 6, 12, 13, 14, 18, 19, 20, *range(24, 29), *range(30, 35))
+    assert out == from_alexander(cable_alexander(torus_alexander(3, 7), 2, 13))
 
 
 def test_cable_semigroup_rejects_common_factor():
@@ -221,13 +224,22 @@ def test_cable_semigroup_rejects_common_factor():
         cable_semigroup(S_T23, 2, 4)
 
 
-@given(st.integers(2, 4), st.integers(0, 12))
-def test_cable_semigroup_matches_alexander_route(p, offset):
-    q = p * (2 * S_T23.genus - 1) + offset
-    if gcd(p, q) != 1:
-        return
-    via_set = cable_semigroup(S_T23, p, q)
-    via_poly = from_alexander(cable_alexander(torus_alexander(2, 3), p, q))
+def _outcome(build):
+    """The value of build(), or the class and message of the DomainError it raises."""
+    try:
+        return build()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(formal_semigroups(max_genus=20), st.integers(2, 5), st.data())
+def test_cable_semigroup_matches_alexander_route(sg, p, data):
+    bound = p * (2 * sg.genus - 1)
+    below, above = st.integers(1, max(bound - 1, 1)), st.integers(bound, bound + 12)
+    q = data.draw(st.one_of(below, above).filter(lambda q: gcd(p, q) == 1), label="q")
+    via_set = _outcome(lambda: cable_semigroup(sg, p, q))
+    via_poly = _outcome(lambda: from_alexander(cable_alexander(to_alexander(sg), p, q)))
     assert via_set == via_poly
 
 
