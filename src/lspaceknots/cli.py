@@ -21,14 +21,6 @@ from . import intpoly, knotexpr, obstruct, semigroup, upsilon
 from .errors import ConstraintError, DomainError, NotIteratedTorus, ParseError
 from .knotexpr import KnotCombination, KnotExpr
 
-OBSTRUCTION_STATEMENTS = {
-    "semigroup_closure": "the gap-set complement of an algebraic knot is closed under addition",
-    "jump_equality": "an algebraic knot has equal derivative jumps at 2/p and 4/p for every odd p >= 3",
-    "decomposition": "the upsilon of an algebraic knot is a nonnegative integer sum of consecutive-torus upsilons",
-    "index_criterion": "an iterated torus knot is algebraic exactly when q_{i+1} > p_i*q_i*p_{i+1} at every stage",
-}
-
-
 def _fmt(x: Fraction, decimal: bool):
     return float(x) if decimal else str(Fraction(x))
 
@@ -67,7 +59,7 @@ def _cmd_semigroup(args) -> int:
     except NotIteratedTorus:
         knotexpr.certify_lspace(knot)
         generators = None
-    sg = semigroup.from_alexander(knotexpr.alexander(knot))
+    sg = knotexpr.semigroup_of(knot)
     witness = semigroup.closure_witness(sg)
     payload = {
         "knot": str(knot),
@@ -143,7 +135,7 @@ def _cmd_jumps(args) -> int:
     f = upsilon.upsilon_of_combination(_parse_knot(args.knot))
     spectrum = upsilon.jump_spectrum(f)
     ps = _parse_p_list(args.p) if args.p else []
-    comparisons = [obstruct.jump_equality(f, p) for p in ps]
+    comparisons = [obstruct.JumpComparison.read(spectrum, p) for p in ps]
     if args.format == "csv":
         rows = [["t", "jump"]]
         rows += [[_fmt(t, args.decimal), _fmt(j, args.decimal)] for t, j in sorted(spectrum.items())]
@@ -206,40 +198,30 @@ def _cmd_decompose(args) -> int:
 def _cmd_obstruct(args) -> int:
     knot = _single_knot(_parse_knot(args.knot))
     report = obstruct.algebraicity_report(knot)
+    witness = report.closure_witness
+    evidence = {
+        "semigroup_closure": {"closed": report.closed, "witness": list(witness) if witness else None},
+        "jump_equality": {
+            "failures": [
+                {
+                    "p": cmp.p,
+                    "jump_at_2_over_p": _fmt(cmp.jump_at_2_over_p, args.decimal),
+                    "jump_at_4_over_p": _fmt(cmp.jump_at_4_over_p, args.decimal),
+                }
+                for cmp in report.jump_equality_failures
+            ]
+        },
+        "decomposition": _decomposition_payload(report.decomposition, args.decimal),
+        "index_criterion": {"result": report.index_criterion.value},
+    }
     payload = {
         "knot": str(knot),
         "certificate": report.certificate.value,
         "verdict": report.verdict.value,
         "reasons": list(report.reasons),
         "obstructions": {
-            "semigroup_closure": {
-                "criterion": OBSTRUCTION_STATEMENTS["semigroup_closure"],
-                "closed": report.closed,
-                "witness": list(report.closure_witness) if report.closure_witness else None,
-                "fires": "semigroup-not-closed" in report.reasons,
-            },
-            "jump_equality": {
-                "criterion": OBSTRUCTION_STATEMENTS["jump_equality"],
-                "failures": [
-                    {
-                        "p": cmp.p,
-                        "jump_at_2_over_p": _fmt(cmp.jump_at_2_over_p, args.decimal),
-                        "jump_at_4_over_p": _fmt(cmp.jump_at_4_over_p, args.decimal),
-                    }
-                    for cmp in report.jump_equality_failures
-                ],
-                "fires": "jump-inequality" in report.reasons,
-            },
-            "decomposition": {
-                "criterion": OBSTRUCTION_STATEMENTS["decomposition"],
-                **_decomposition_payload(report.decomposition, args.decimal),
-                "fires": "no-consecutive-torus-expansion" in report.reasons,
-            },
-            "index_criterion": {
-                "criterion": OBSTRUCTION_STATEMENTS["index_criterion"],
-                "result": report.index_criterion.value,
-                "fires": "index-criterion" in report.reasons,
-            },
+            key: {"criterion": criterion, **evidence[key], "fires": fires(report)}
+            for key, _, criterion, fires in obstruct.OBSTRUCTIONS
         },
     }
     if args.format == "text":

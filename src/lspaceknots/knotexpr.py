@@ -13,7 +13,7 @@ q >= p(2g - 1) stage by stage without any polynomial and raises NotLSpace
 at the first stage below it.  A candidate is checked in full when it is
 built: a polynomial without the L-space shape, or whose gap set fails
 duality or growth, raises NotLSpaceShape there, so certification builds no
-gap set for any knot.
+gap set for any knot; ``semigroup_of`` returns the set the candidate kept.
 
 Integer linear combinations of knots are described by a small text grammar
 (whitespace-insensitive):
@@ -105,7 +105,8 @@ class ExplicitAlexander(KnotExpr):
     poly: IntPolynomial
 
     def __post_init__(self):
-        semigroup.from_alexander(self.poly)  # shape, duality and growth
+        # checks shape, duality and growth; semigroup_of reads the set kept here
+        object.__setattr__(self, "_semigroup", semigroup.from_alexander(self.poly))
 
     def __str__(self):
         return "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
@@ -331,6 +332,13 @@ def alexander(knot: KnotExpr) -> IntPolynomial:
     for p, q in stages:
         poly = cable_alexander(poly, p, q)
     return poly
+
+
+def semigroup_of(knot: KnotExpr) -> semigroup.FormalSemigroup:
+    """Gap-set complement S of a knot; a candidate returns the one it built when it was checked."""
+    if isinstance(knot, ExplicitAlexander):
+        return knot._semigroup
+    return semigroup.from_alexander(alexander(knot))
 
 
 def genus(knot: KnotExpr) -> int:

@@ -13,10 +13,19 @@ unique and a failure a genuine certificate).  Index criterion: an iterated
 torus knot is algebraic exactly when q_{i+1} > p_i q_i p_{i+1} holds at
 every cabling stage.
 
+``OBSTRUCTIONS`` is the one table of the four: per row, in report order,
+the key of the CLI report, the reason string, the criterion and the test
+that fires it.  An ``ObstructionReport`` stores only the results of the
+checks; its reasons come from the table, and its verdict from them: ALGEBRAIC
+when the index criterion affirms the knot, NOT_ALGEBRAIC when a reason
+fires, NO_OBSTRUCTION_FOUND otherwise.
+
 The normalized jump difference lambda(k) = (jump at 2/(2k-1) - jump at
 4/(2k-1)) / (2k-1) vanishes on every combination of consecutive-torus
 upsilons; evaluated on the J(k) family it yields a lower-triangular matrix
-with unit diagonal, certifying independence at any finite truncation.
+with unit diagonal, certifying independence at any finite truncation.  The
+report and the matrix build the jump spectrum of each function once and
+read every p from it.
 """
 
 from __future__ import annotations
@@ -101,21 +110,26 @@ class JumpComparison:
     jump_at_2_over_p: Fraction
     jump_at_4_over_p: Fraction
 
+    @classmethod
+    def read(cls, spectrum: dict[Fraction, Fraction], p: int) -> JumpComparison:
+        """The jumps at 2/p and 4/p of a built jump spectrum (absent jumps count as 0)."""
+        if p < 3 or p % 2 == 0:
+            raise ConstraintError(f"jump comparison needs an odd p >= 3, got {p}")
+        return cls(p, spectrum.get(Fraction(2, p), Fraction(0)), spectrum.get(Fraction(4, p), Fraction(0)))
+
     @property
     def equal(self) -> bool:
         return self.jump_at_2_over_p == self.jump_at_4_over_p
 
+    @property
+    def normalized_difference(self) -> Fraction:
+        """(jump at 2/p - jump at 4/p) / p, the lambda functional at p = 2k - 1."""
+        return (self.jump_at_2_over_p - self.jump_at_4_over_p) / self.p
+
 
 def jump_equality(f: PiecewiseLinear, p: int) -> JumpComparison:
     """Compare the derivative jumps of f at 2/p and 4/p (absent jumps count as 0)."""
-    if p < 3 or p % 2 == 0:
-        raise ConstraintError(f"jump comparison needs an odd p >= 3, got {p}")
-    spectrum = jump_spectrum(f)
-    return JumpComparison(
-        p,
-        spectrum.get(Fraction(2, p), Fraction(0)),
-        spectrum.get(Fraction(4, p), Fraction(0)),
-    )
+    return JumpComparison.read(jump_spectrum(f), p)
 
 
 def lambda_invariant(k: int, f: PiecewiseLinear) -> Fraction:
@@ -126,8 +140,7 @@ def lambda_invariant(k: int, f: PiecewiseLinear) -> Fraction:
     """
     if k < 2:
         raise ConstraintError(f"the jump-difference functional needs k >= 2, got {k}")
-    cmp = jump_equality(f, 2 * k - 1)
-    return (cmp.jump_at_2_over_p - cmp.jump_at_4_over_p) / (2 * k - 1)
+    return jump_equality(f, 2 * k - 1).normalized_difference
 
 
 def independence_matrix(kmin: int, kmax: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -138,10 +151,11 @@ def independence_matrix(kmin: int, kmax: int) -> tuple[tuple[Fraction, ...], ...
     """
     if not 3 <= kmin <= kmax:
         raise ConstraintError(f"need 3 <= kmin <= kmax, got {kmin}..{kmax}")
+    ps = range(2 * kmin - 1, 2 * kmax, 2)
     rows = []
     for k in range(kmin, kmax + 1):
-        f = upsilon.upsilon_of_knot(knotexpr.jfamily(k))
-        rows.append(tuple(lambda_invariant(i, f) for i in range(kmin, kmax + 1)))
+        spectrum = jump_spectrum(upsilon.upsilon_of_knot(knotexpr.jfamily(k)))
+        rows.append(tuple(JumpComparison.read(spectrum, p).normalized_difference for p in ps))
     return tuple(rows)
 
 
@@ -151,73 +165,67 @@ class Verdict(Enum):
     NO_OBSTRUCTION_FOUND = "no-obstruction-found"
 
 
+OBSTRUCTIONS = (
+    ("semigroup_closure", "semigroup-not-closed",
+     "the gap-set complement of an algebraic knot is closed under addition",
+     lambda report: not report.closed),
+    ("jump_equality", "jump-inequality",
+     "an algebraic knot has equal derivative jumps at 2/p and 4/p for every odd p >= 3",
+     lambda report: bool(report.jump_equality_failures)),
+    ("decomposition", "no-consecutive-torus-expansion",
+     "the upsilon of an algebraic knot is a nonnegative integer sum of consecutive-torus upsilons",
+     lambda report: not report.decomposition.all_integer),
+    ("index_criterion", "index-criterion",
+     "an iterated torus knot is algebraic exactly when q_{i+1} > p_i*q_i*p_{i+1} at every stage",
+     lambda report: report.index_criterion is Algebraicity.NOT_ALGEBRAIC),
+)
+
+
 @frozen
 class ObstructionReport:
-    """Aggregated algebraicity obstructions for a single knot expression."""
+    """The results of the four obstructions for one knot; the verdict is derived from them."""
 
     knot: KnotExpr
     certificate: LSpaceStatus
-    closed: bool
     closure_witness: tuple[int, int] | None
     jump_equality_failures: tuple[JumpComparison, ...]
     decomposition: Decomposition
     index_criterion: Algebraicity
-    verdict: Verdict
-    reasons: tuple[str, ...]
 
+    @property
+    def closed(self) -> bool:
+        return self.closure_witness is None
 
-def _candidate_odd_ps(spectrum: dict[Fraction, Fraction]) -> list[int]:
-    # only p with 2/p or 4/p among the singularities can fail the comparison
-    out = set()
-    for t0 in spectrum:
-        for numerator in (2, 4):
-            ratio = numerator / t0
-            if ratio.denominator == 1 and ratio >= 3 and ratio % 2 == 1:
-                out.add(int(ratio))
-    return sorted(out)
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        return tuple(reason for _, reason, _, fires in OBSTRUCTIONS if fires(self))
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.index_criterion is Algebraicity.ALGEBRAIC:
+            return Verdict.ALGEBRAIC
+        return Verdict.NOT_ALGEBRAIC if self.reasons else Verdict.NO_OBSTRUCTION_FOUND
 
 
 def algebraicity_report(knot: KnotExpr) -> ObstructionReport:
     """Run all four obstructions; only the index criterion can affirm algebraicity."""
     status = knotexpr.certify_lspace(knot)
-    sg = semigroup.from_alexander(knotexpr.alexander(knot))
+    sg = knotexpr.semigroup_of(knot)
     witness = semigroup.closure_witness(sg)
     f = upsilon.upsilon_from_semigroup(sg)
     spectrum = jump_spectrum(f)
-    failures = tuple(
-        cmp
-        for p in _candidate_odd_ps(spectrum)
-        if not (cmp := jump_equality(f, p)).equal
-    )
-    dec = decompose_into_consecutive_torus(f)
-    index = knotexpr.classify_algebraic(knot)
-    reasons = []
-    if witness is not None:
-        reasons.append("semigroup-not-closed")
-    if failures:
-        reasons.append("jump-inequality")
-    if not (dec.succeeded and dec.all_integer):
-        reasons.append("no-consecutive-torus-expansion")
-    if index is Algebraicity.NOT_ALGEBRAIC:
-        reasons.append("index-criterion")
-    if index is Algebraicity.ALGEBRAIC:
-        if reasons:
-            raise AssertionError(
-                f"index criterion affirms {knot} but obstructions fired: {reasons}"
-            )
-        verdict = Verdict.ALGEBRAIC
-    elif reasons:
-        verdict = Verdict.NOT_ALGEBRAIC
-    else:
-        verdict = Verdict.NO_OBSTRUCTION_FOUND
-    return ObstructionReport(
+    # only p with 2/p or 4/p among the singularities can fail the comparison
+    ps = {int(r) for t in spectrum for r in (2 / t, 4 / t) if r.denominator == 1 and r >= 3 and r % 2 == 1}
+    report = ObstructionReport(
         knot=knot,
         certificate=status,
-        closed=witness is None,
         closure_witness=witness,
-        jump_equality_failures=failures,
-        decomposition=dec,
-        index_criterion=index,
-        verdict=verdict,
-        reasons=tuple(reasons),
+        jump_equality_failures=tuple(
+            cmp for p in sorted(ps) if not (cmp := JumpComparison.read(spectrum, p)).equal
+        ),
+        decomposition=decompose_into_consecutive_torus(f),
+        index_criterion=knotexpr.classify_algebraic(knot),
     )
+    if report.index_criterion is Algebraicity.ALGEBRAIC and report.reasons:
+        raise AssertionError(f"index criterion affirms {knot} but obstructions fired: {list(report.reasons)}")
+    return report

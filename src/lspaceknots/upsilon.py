@@ -193,7 +193,7 @@ def torus_consecutive_upsilon(n: int) -> PiecewiseLinear:
 def upsilon_of_knot(knot: KnotExpr) -> PiecewiseLinear:
     """Upsilon of a single certified (or candidate) L-space knot."""
     knotexpr.certify_lspace(knot)
-    return upsilon_from_semigroup(semigroup.from_alexander(knotexpr.alexander(knot)))
+    return upsilon_from_semigroup(knotexpr.semigroup_of(knot))
 
 
 def upsilon_of_combination(comb: KnotCombination) -> PiecewiseLinear:

@@ -9,9 +9,14 @@ from lspaceknots import FormalSemigroup, NotLSpaceShape, cable, genus, torus
 
 @st.composite
 def formal_semigroups(draw, max_genus=40):
-    """A genus g in 1..max_genus and one of s, 2g-1-s for each s < g, redrawn until the constructor accepts it."""
+    """A genus g in 1..max_genus and one of s, 2g-1-s for each s < g, redrawn until the constructor accepts it.
+
+    The redraws come from a true random generator seeded by Hypothesis: drawn
+    from Hypothesis's own data, the rejection loop at g near 40 used up its
+    entropy budget and failed the too-slow health check on a loaded machine.
+    """
     g = draw(st.integers(1, max_genus))
-    rng = draw(st.randoms(use_true_random=False))
+    rng = draw(st.randoms(use_true_random=True))
     while True:
         small = tuple(rng.choice((s, 2 * g - 1 - s)) for s in range(g))
         try:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lspaceknots import (
     Algebraicity,
@@ -24,12 +24,15 @@ from lspaceknots import (
     jfamily,
     jump_equality,
     lambda_invariant,
+    parse,
     pl_combine,
     torus,
     torus_consecutive_upsilon,
     upsilon_of_knot,
 )
+from lspaceknots import obstruct
 from lspaceknots.upsilon import ZERO
+from strategies import certified_towers
 
 F = Fraction
 
@@ -192,6 +195,29 @@ def test_matrix_3_to_5_triangular():
             assert matrix[r][c] == 0
 
 
+def test_matrix_3_to_60_is_unit_lower_triangular():
+    matrix = independence_matrix(3, 60)
+    assert len(matrix) == 58
+    for r, row in enumerate(matrix):
+        assert len(row) == 58
+        assert row[r] == 1
+        assert all(x == 0 for x in row[r + 1:])
+
+
+def count_spectra(monkeypatch) -> list:
+    built = []
+    jump_spectrum = obstruct.jump_spectrum
+    monkeypatch.setattr(obstruct, "jump_spectrum", lambda f: built.append(f) or jump_spectrum(f))
+    return built
+
+
+@pytest.mark.parametrize("kmax", [3, 5, 9])
+def test_matrix_builds_one_spectrum_per_row(monkeypatch, kmax):
+    built = count_spectra(monkeypatch)
+    independence_matrix(3, kmax)
+    assert built == [upsilon_of_knot(jfamily(k)) for k in range(3, kmax + 1)]
+
+
 def test_matrix_rejects_bad_range():
     with pytest.raises(ConstraintError):
         independence_matrix(2, 5)
@@ -245,9 +271,12 @@ def test_report_rejects_non_lspace():
         algebraicity_report(cable(torus(2, 3), 2, 1))
 
 
-@pytest.mark.parametrize("text", ["T(3,7)", "J(3)", "C(T(2,3);2,13)", "C(C(T(2,3);2,13);3,100)", "P237"])
+CANDIDATE = "alex[1,-1,0,1,-1,0,1,0,-1,1,0,-1,1]"
+
+
+@pytest.mark.parametrize("text", ["T(3,7)", "J(3)", "C(T(2,3);2,13)", "C(C(T(2,3);2,13);3,100)", "P237", CANDIDATE])
 def test_report_certifies_and_builds_the_gap_set_once(monkeypatch, text):
-    from lspaceknots import knotexpr, parse, semigroup, upsilon
+    from lspaceknots import knotexpr, semigroup, upsilon
 
     (knot, _), = parse(text).items()
     d = knotexpr.alexander(knot)
@@ -257,11 +286,50 @@ def test_report_certifies_and_builds_the_gap_set_once(monkeypatch, text):
     certify_lspace, from_alexander = knotexpr.certify_lspace, semigroup.from_alexander
     monkeypatch.setattr(knotexpr, "certify_lspace", lambda k: certified.append(k) or certify_lspace(k))
     monkeypatch.setattr(semigroup, "from_alexander", lambda p: read.append(p) or from_alexander(p))
+    (knot, _), = parse(text).items()  # a candidate builds its gap set here, to check it
     report = algebraicity_report(knot)
     assert certified == [knot]
     # the decomposition reads the gap sets of the T(n, n+1) it peels off, never this one again
     assert read.count(d) == 1
     assert report == algebraicity_report(knot)  # and the report is unchanged on warm caches
+
+
+@pytest.mark.parametrize("text", ["T(3,7)", "J(3)", "C(C(T(2,3);2,13);3,83)", "P237", CANDIDATE])
+def test_report_builds_one_spectrum(monkeypatch, text):
+    (knot, _), = parse(text).items()
+    built = count_spectra(monkeypatch)
+    algebraicity_report(knot)
+    assert built == [upsilon_of_knot(knot)]
+
+
+def jump_at(f, t):
+    """Slope change of f at t, from values of f on a step that stays inside the segments next to t."""
+    points = sorted(set(f.breakpoints) | {t})
+    h = min(b - a for a, b in zip(points, points[1:])) / 2
+    return (f(t + h) - f(t)) / h - (f(t) - f(t - h)) / h
+
+
+JUMP_POOL = (
+    *(jfamily(k) for k in range(3, 13)),
+    PRETZEL_P237,
+    parse(CANDIDATE).items()[0][0],
+    explicit_alexander(IntPolynomial.from_coeffs([1, -1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 1])),
+    explicit_alexander(IntPolynomial.from_coeffs([1, -1, 1])),
+)
+
+
+@settings(deadline=None)
+@given(certified_towers() | st.sampled_from(JUMP_POOL))
+def test_report_jump_failures_match_a_scan_of_every_odd_p(knot):
+    # 2/p or 4/p can be a breakpoint a/d only when p divides 4d, so p <= 4d
+    f = upsilon_of_knot(knot)
+    ps = range(3, 4 * max(b.denominator for b in f.breakpoints) + 1, 2)
+    comparisons = [jump_equality(f, p) for p in ps]
+    for cmp in comparisons:
+        p = cmp.p
+        assert (cmp.jump_at_2_over_p, cmp.jump_at_4_over_p) == (jump_at(f, F(2, p)), jump_at(f, F(4, p)))
+        assert lambda_invariant((p + 1) // 2, f) == (jump_at(f, F(2, p)) - jump_at(f, F(4, p))) / p
+    assert algebraicity_report(knot).jump_equality_failures == tuple(c for c in comparisons if not c.equal)
 
 
 def test_report_closure_never_fires_on_certified_towers():
