@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lspaceknots
 from lspaceknots import errors, knotexpr
 from lspaceknots.cli import main
+from lspaceknots.verify import CHECKS
 
 
 def run(capsys, *argv):
@@ -278,11 +279,8 @@ def test_verify_filter_matching_no_check_fails(capsys):
 
 def test_verify_full_run_is_consistent_with_output(capsys):
     code, out, _ = run(capsys, "verify-paper")
-    lines = out.splitlines()
-    reported = [line for line in lines if line.startswith(("PASS", "FAIL"))]
-    assert len(reported) == 9
-    has_failures = any(line.startswith("FAIL") for line in reported)
-    assert code == (1 if has_failures else 0)
+    assert code == 0
+    assert out.splitlines() == [f"PASS {c.name} [{c.detail}]" for c in CHECKS] + ["9 checks run"]
 
 
 def test_cli_import_leaves_out_dataclasses_and_verify():
