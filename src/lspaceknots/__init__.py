@@ -80,68 +80,3 @@ from .upsilon import (
     upsilon_of_combination,
     upsilon_of_knot,
 )
-
-__all__ = [
-    "Algebraicity",
-    "Cable",
-    "ConstraintError",
-    "Decomposition",
-    "DomainError",
-    "ExplicitAlexander",
-    "FormalSemigroup",
-    "InfiniteComplement",
-    "IntPolynomial",
-    "JumpComparison",
-    "KnotCombination",
-    "KnotExpr",
-    "LSpaceStatus",
-    "NotDivisible",
-    "NotIteratedTorus",
-    "NotLSpace",
-    "NotLSpaceShape",
-    "ObstructionReport",
-    "OutOfDomain",
-    "PRETZEL_P237",
-    "ParseError",
-    "PiecewiseLinear",
-    "Pretzel237",
-    "Torus",
-    "UNKNOT",
-    "Undefined",
-    "Verdict",
-    "alexander",
-    "algebraicity_report",
-    "cable",
-    "cable_alexander",
-    "cable_semigroup",
-    "certify_lspace",
-    "classify_algebraic",
-    "closure_witness",
-    "combination",
-    "decompose_into_consecutive_torus",
-    "envelope",
-    "explicit_alexander",
-    "from_alexander",
-    "from_generators",
-    "genus",
-    "independence_matrix",
-    "iterated_torus_generators",
-    "jfamily",
-    "jump_equality",
-    "jump_spectrum",
-    "lambda_invariant",
-    "min_nonzero",
-    "parse",
-    "parse_polynomial",
-    "pl_combine",
-    "poly_exact_div",
-    "substitute_power",
-    "to_alexander",
-    "torus",
-    "torus_alexander",
-    "torus_consecutive_upsilon",
-    "tower",
-    "upsilon_from_semigroup",
-    "upsilon_of_combination",
-    "upsilon_of_knot",
-]

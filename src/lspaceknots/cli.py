@@ -17,24 +17,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import intpoly, knotexpr, obstruct, semigroup, upsilon
+from . import knotexpr, obstruct, semigroup, upsilon
 from .errors import ConstraintError, DomainError, NotIteratedTorus, ParseError
 from .knotexpr import KnotCombination, KnotExpr
 
 def _fmt(x: Fraction, decimal: bool):
     return float(x) if decimal else str(Fraction(x))
-
-
-def _parse_knot(text: str) -> KnotCombination:
-    try:
-        return knotexpr.parse(text)
-    except ParseError as knot_error:
-        # fall back to plain polynomial text, e.g. "1 - t + t^3"
-        try:
-            poly = intpoly.parse_polynomial(text)
-        except ParseError:
-            raise knot_error from None
-        return knotexpr.combination([(knotexpr.explicit_alexander(poly), 1)])
 
 
 def _single_knot(comb: KnotCombination) -> KnotExpr:
@@ -53,7 +41,7 @@ def _print_csv(rows):
 
 
 def _cmd_semigroup(args) -> int:
-    knot = _single_knot(_parse_knot(args.knot))
+    knot = _single_knot(knotexpr.parse(args.knot))
     try:
         generators = sorted(knotexpr.iterated_torus_generators(knot))  # certifies a tower
     except NotIteratedTorus:
@@ -102,7 +90,7 @@ def _upsilon_points(f, subdivisions: int) -> list[Fraction]:
 
 
 def _cmd_upsilon(args) -> int:
-    f = upsilon.upsilon_of_combination(_parse_knot(args.knot))
+    f = upsilon.upsilon_of_combination(knotexpr.parse(args.knot))
     if args.format == "csv":
         rows = [["t", "upsilon"]]
         for t in _upsilon_points(f, args.subdivisions):
@@ -132,7 +120,7 @@ def _parse_p_list(text: str) -> list[int]:
 
 
 def _cmd_jumps(args) -> int:
-    f = upsilon.upsilon_of_combination(_parse_knot(args.knot))
+    f = upsilon.upsilon_of_combination(knotexpr.parse(args.knot))
     spectrum = upsilon.jump_spectrum(f)
     ps = _parse_p_list(args.p) if args.p else []
     comparisons = [obstruct.JumpComparison.read(spectrum, p) for p in ps]
@@ -177,7 +165,7 @@ def _decomposition_payload(dec, decimal: bool):
 
 
 def _cmd_decompose(args) -> int:
-    f = upsilon.upsilon_of_combination(_parse_knot(args.knot))
+    f = upsilon.upsilon_of_combination(knotexpr.parse(args.knot))
     dec = obstruct.decompose_into_consecutive_torus(f)
     if args.format == "text":
         if dec.succeeded:
@@ -196,7 +184,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    knot = _single_knot(_parse_knot(args.knot))
+    knot = _single_knot(knotexpr.parse(args.knot))
     report = obstruct.algebraicity_report(knot)
     witness = report.closure_witness
     evidence = {
@@ -234,7 +222,7 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    f = upsilon.upsilon_of_combination(_parse_knot(args.knot))
+    f = upsilon.upsilon_of_combination(knotexpr.parse(args.knot))
     value = obstruct.lambda_invariant(args.k, f)
     if args.format == "text":
         print(_fmt(value, args.decimal))

@@ -13,6 +13,11 @@ unsymmetrized torus-knot Alexander polynomial
 ``inner(t^p) * torus(p, q)``.  The L-space shape (coefficients alternating
 +1/-1 from a constant term 1) is checked, and the gap set read off the
 exponents, by ``semigroup.from_alexander``.
+
+Knot text is read here too.  ``Scanner`` holds the offset, skips whitespace
+and reads unsigned integers; its ``polynomial`` method is the polynomial
+grammar (``parse_polynomial``), and ``knotexpr`` extends it with the knot
+grammar.  ``signed_sum`` writes both polynomials and knot combinations.
 """
 
 from __future__ import annotations
@@ -89,21 +94,24 @@ class IntPolynomial:
         return IntPolynomial(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((c, "" if e == 0 else "t" if e == 1 else f"t^{e}") for e, c in self.terms)
+
+
+def signed_sum(terms) -> str:
+    """Write (coefficient, unit) pairs as ``a - 2*b + c``.
+
+    A coefficient of magnitude 1 is left off a unit, the unit "" is the
+    constant 1, a negative first term gets a bare '-', and the empty sum is '0'.
+    """
+    parts = []
+    for c, unit in terms:
+        mag = abs(c)
+        body = str(mag) if not unit else unit if mag == 1 else f"{mag}*{unit}"
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + body)
+        else:
+            parts.append("-" + body if c < 0 else body)
+    return " ".join(parts) or "0"
 
 
 ZERO = IntPolynomial(())
@@ -184,63 +192,75 @@ def cable_alexander(inner: IntPolynomial, p: int, q: int) -> IntPolynomial:
     return substitute_power(inner, p) * torus_alexander(p, q)
 
 
+class Scanner:
+    """Reads text left to right from ``pos``; every error is a ParseError at ``pos``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str):
+        raise ParseError(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def integer(self) -> int:
+        """An unsigned decimal integer after optional whitespace."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        return int(self.text[start:self.pos])
+
+    def polynomial(self) -> IntPolynomial:
+        """``term (('+'|'-') term)*`` to the end of the text, a leading sign allowed,
+        with ``term := integer | (integer '*'?)? 't' ('^' integer)?``; equal exponents add up."""
+        self.skip_ws()
+        if not self.peek():
+            self.error("empty polynomial")
+        terms = []
+        while c := self.peek():
+            sign = 1
+            if c in ("+", "-"):
+                sign = -1 if c == "-" else 1
+                self.pos += 1
+                self.skip_ws()
+                c = self.peek()
+            elif terms:
+                self.error("expected '+' or '-'")
+            coeff = 1
+            started = c.isdigit()
+            if started:
+                coeff = self.integer()
+                self.skip_ws()
+                c = self.peek()
+                if c == "*":
+                    self.pos += 1
+                    self.skip_ws()
+                    c = self.peek()
+                    if c != "t":
+                        self.error("expected 't' after '*'")
+            exp = 0
+            if c == "t":
+                self.pos += 1
+                exp = 1
+                if self.peek() == "^":
+                    self.pos += 1
+                    exp = self.integer()
+            elif not started:
+                self.error("expected a term")
+            terms.append((exp, sign * coeff))
+            self.skip_ws()
+        return IntPolynomial.from_terms(terms)
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse text like ``1 - t + t^3`` or ``2*t^2 - 1`` into a polynomial."""
-    pos = 0
-    n = len(text)
-    acc: dict[int, int] = {}
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected an integer", start)
-        return int(text[start:pos])
-
-    skip_ws()
-    if pos == n:
-        raise ParseError("empty polynomial", pos)
-    first = True
-    while True:
-        skip_ws()
-        if pos == n:
-            break
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-'", pos)
-        coeff = 1
-        exp = 0
-        started = False
-        if pos < n and text[pos].isdigit():
-            coeff = read_int()
-            started = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or text[pos] != "t":
-                    raise ParseError("expected 't' after '*'", pos)
-        if pos < n and text[pos] == "t":
-            pos += 1
-            started = True
-            exp = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                exp = read_int()
-        if not started:
-            raise ParseError("expected a term", pos)
-        acc[exp] = acc.get(exp, 0) + sign * coeff
-        first = False
-    return IntPolynomial.from_terms(acc.items())
+    return Scanner(text).polynomial()

@@ -15,9 +15,10 @@ built: a polynomial without the L-space shape, or whose gap set fails
 duality or growth, raises NotLSpaceShape there, so certification builds no
 gap set for any knot; ``semigroup_of`` returns the set the candidate kept.
 
-Integer linear combinations of knots are described by a small text grammar
-(whitespace-insensitive):
+Knots and their integer linear combinations are read by ``parse`` from a
+small text grammar (whitespace-insensitive):
 
+    input       := combination | polynomial
     combination := term (('+'|'-') term)*
     term        := (integer '*')? atom
     atom        := 'T(' p ',' q ')' | 'C(' atom ';' p ',' q ')'
@@ -27,6 +28,9 @@ Integer linear combinations of knots are described by a small text grammar
 ``J(k)`` abbreviates the (k, 2k-1)-cable of the trefoil T(2,3) and needs
 k >= 3; ``alex[...]`` lists dense low-to-high coefficients of a candidate
 Alexander polynomial; ``U`` is the unknot.  A leading '-' is allowed.
+``polynomial`` is ``intpoly``'s polynomial text, such as ``1 - t + t^3``, and
+gives one candidate with multiplicity 1.  The combination is tried first; when
+neither reading succeeds, the ParseError is the combination's.
 ``C(`` may nest at most MAX_CABLE_DEPTH deep; a deeper ``C`` raises
 ParseError at its offset.  The cap costs nothing real: every cabling stage
 that survives normalization at least doubles the genus.
@@ -41,7 +45,7 @@ from math import gcd
 from . import semigroup
 from ._record import frozen
 from .errors import ConstraintError, NotIteratedTorus, NotLSpace, ParseError
-from .intpoly import IntPolynomial, cable_alexander, torus_alexander
+from .intpoly import IntPolynomial, Scanner, cable_alexander, parse_polynomial, signed_sum, torus_alexander
 
 
 class KnotExpr:
@@ -188,16 +192,7 @@ class KnotCombination:
         return len(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for expr, mult in self.terms:
-            body = str(expr) if abs(mult) == 1 else f"{abs(mult)}*{expr}"
-            if not parts:
-                parts.append(body if mult > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if mult > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((mult, str(expr)) for expr, mult in self.terms)
 
 
 def combination(pairs) -> KnotCombination:
@@ -211,21 +206,8 @@ def combination(pairs) -> KnotCombination:
 MAX_CABLE_DEPTH = 100
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # open 'C(' atoms
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+class _Parser(Scanner):
+    depth = 0  # open 'C(' atoms
 
     def take(self, token: str) -> bool:
         self.skip_ws()
@@ -237,15 +219,6 @@ class _Parser:
     def expect(self, token: str):
         if not self.take(token):
             self.error(f"expected '{token}'")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
 
     def signed_integer(self) -> int:
         self.skip_ws()
@@ -320,8 +293,15 @@ class _Parser:
 
 
 def parse(text: str) -> KnotCombination:
-    """Parse a knot-combination expression; see the module docstring for the grammar."""
-    return _Parser(text).combination()
+    """Parse ``input`` (see the module docstring): a combination, or else one candidate."""
+    try:
+        return _Parser(text).combination()
+    except ParseError as knot_error:
+        try:
+            poly = parse_polynomial(text)
+        except ParseError:
+            raise knot_error from None
+    return combination([(ExplicitAlexander(poly), 1)])
 
 
 @lru_cache(maxsize=None)

@@ -274,6 +274,9 @@ def check_structural_properties() -> list[str]:
     for (name, sg), f in zip(samples, upsilons):
         if sg.genus == 0 or semigroup.closure_witness(sg) is not None:
             continue
+        if len(f.slopes) < 2:
+            failures.append(f"{name}: upsilon has no singularity")
+            continue
         a = semigroup.min_nonzero(sg)
         if f.breakpoints[1] != Fraction(2, a):
             failures.append(f"{name}: first singularity at {f.breakpoints[1]}, expected 2/{a}")

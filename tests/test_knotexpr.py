@@ -10,6 +10,7 @@ from lspaceknots import (
     Algebraicity,
     Cable,
     ConstraintError,
+    ExplicitAlexander,
     IntPolynomial,
     LSpaceStatus,
     NotIteratedTorus,
@@ -166,6 +167,39 @@ def test_parse_constraint_errors():
         parse("J(2)")
     with pytest.raises(ConstraintError):
         parse("T(0,1)")
+
+
+T37_TEXT = "1 - t + t^3 - t^4 + t^6 - t^8 + t^9 - t^11 + t^12"
+
+
+def test_parse_reads_polynomial_text_as_one_candidate():
+    assert parse(T37_TEXT) == combination([(ExplicitAlexander(torus_alexander(3, 7)), 1)])
+
+
+def test_parse_raises_the_knot_grammar_error_when_neither_reading_succeeds():
+    with pytest.raises(ParseError, match=re.escape("expected ')' (at offset 5)")) as info:
+        parse("T(2,3")
+    assert info.value.position == 5
+    # the polynomial reading would stop later, at the 'x' (offset 8)
+    with pytest.raises(ParseError, match=re.escape("expected '*' (at offset 2)")):
+        parse("1 - t + x")
+
+
+def test_parse_polynomial_text_is_checked_as_a_candidate():
+    with pytest.raises(NotLSpaceShape):
+        parse("1 - t + t^2 - t^3")
+
+
+@given(st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda pq: gcd(*pq) == 1))
+def test_parse_torus_polynomial_text(pq):
+    poly = torus_alexander(*pq)
+    assert parse(str(poly)) == combination([(ExplicitAlexander(poly), 1)])
+
+
+def test_combination_str_signs():
+    assert str(combination([])) == "0"
+    assert str(combination([(torus(2, 3), -2), (UNKNOT, 1)])) == "-2*T(2,3) + U"
+    assert str(combination([(torus(2, 3), -1), (UNKNOT, -3)])) == "-T(2,3) - 3*U"
 
 
 def _coprime_pairs(lo, hi):

@@ -40,15 +40,14 @@ def test_jump_equality_catches_a_wrong_jump_at_4_over_3(monkeypatch):
 
 
 def test_structural_properties_catches_an_envelope_without_the_last_line(monkeypatch):
-    # genus 1 keeps the line: without it T(2,3) has no singularity to read, and the check crashes
+    # without the m = 2g line T(2,3) has the one segment -t: reported, and the check goes on
     def without_last_line(sg):
         g, small = sg.genus, sg.small_elements
-        if g == 1:
-            return upsilon.upsilon_from_semigroup(sg)
         return envelope([(s - g, -2 * i) for i, s in enumerate(small)])
 
     monkeypatch.setattr(verify, "upsilon_from_semigroup", without_last_line)
     failures = CHECKS_BY_NAME["structural-properties"].run()
+    assert "T(2,3): upsilon has no singularity" in failures
     assert any("differs from the pointwise maximum" in line for line in failures)
 
 
