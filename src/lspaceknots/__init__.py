@@ -67,6 +67,7 @@ from .semigroup import (
     closure_witness,
     from_alexander,
     from_generators,
+    from_members,
     min_nonzero,
     to_alexander,
 )

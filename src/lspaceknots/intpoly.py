@@ -210,10 +210,10 @@ class Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def integer(self) -> int:
-        """An unsigned decimal integer after optional whitespace."""
+        """An unsigned integer of ASCII digits after optional whitespace."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -236,7 +236,7 @@ class Scanner:
             elif terms:
                 self.error("expected '+' or '-'")
             coeff = 1
-            started = c.isdigit()
+            started = "0" <= c <= "9"
             if started:
                 coeff = self.integer()
                 self.skip_ws()

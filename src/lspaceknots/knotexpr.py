@@ -276,7 +276,7 @@ class _Parser(Scanner):
         while True:
             self.skip_ws()
             mult = 1
-            if self.peek().isdigit():
+            if "0" <= self.peek() <= "9":
                 mult = self.integer()
                 self.expect("*")
             pairs.append((self.atom(), sign * mult))

@@ -1,165 +1,171 @@
 """Cofinite subsets of the nonnegative integers attached to L-space knots.
 
-A set S is stored as a genus g plus the sorted members of S below 2g (the
-"small elements"); every integer >= 2g belongs implicitly.  The constructor
-enforces the structural facts such sets always satisfy: exactly g gaps, all
-below 2g, the duality s in S <=> 2g-1-s not in S, and the growth bound that
-the (i+1)th smallest member is at least 2i for i <= g.
-
-The cofinite representation is used instead of a generator list because the
-sets attached to non-algebraic knots need not be closed under addition and
-then have no generating set; 2g is the canonical cutoff.
-
 An L-space Alexander polynomial is t^{n_0} - t^{n_1} + ... + t^{n_{2r}} with
-n_0 = 0 and n_{2r} = 2g, and S is the support of its quotient by 1 - t, so
-the members below 2g are the runs [n_0, n_1), [n_2, n_3), ....
-``from_alexander`` is the only place that reads S off a polynomial and
-checks that shape; the constructor is the only place that checks S.
+n_0 = 0 and n_{2r} = 2g; its set S, the support of its quotient by 1 - t,
+holds the runs [n_0, n_1), [n_2, n_3), ... below 2g and all of Z>=2g.  S is
+stored as these exponents alone, so its cost follows the term count, not
+the genus; the sorted members below 2g (``small_elements``) are a view
+built on request, and ``from_members`` is the one way in from such a list.
+The constructor checks in O(r) the facts such sets always satisfy: exactly
+g gaps, all below 2g, the duality s in S <=> 2g-1-s not in S (the
+palindrome n_i + n_{2r-i} = 2g), and, once per run, the growth bound that
+the (i+1)th smallest member is at least 2i for i <= g.  Generator lists are
+not used: the sets of non-algebraic knots need not be closed under addition.
 
 Cabling multiplies Alexander polynomials, Delta_{C(K;p,q)}(t) =
-Delta_K(t^p) * Delta_{T(p,q)}(t), so the series of the cable's S is
-S_K(t^p) * (1 + t^q + ... + t^{(p-1)q}): the disjoint union of the p
-translates p*S + b*q, b < p.
-``cable_semigroup`` builds that union for every coprime (p, q); whether the
-cable is an L-space knot (Hedden's bound q >= p(2g - 1)) is decided by
-``knotexpr.certify_lspace`` alone.
+Delta_K(t^p) * Delta_{T(p,q)}(t), so the cable's S is the disjoint union of
+the p translates p*S + b*q, b < p; ``cable_semigroup`` builds it for every
+coprime (p, q).  Whether the cable is an L-space knot (Hedden's bound
+q >= p(2g - 1)) is decided by ``knotexpr.certify_lspace`` alone.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from functools import cached_property, reduce
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import accumulate, chain, count, repeat
 from math import gcd
+from operator import add, lt, sub
 
 from ._record import frozen
 from .errors import ConstraintError, InfiniteComplement, NotLSpaceShape, Undefined
 from .intpoly import IntPolynomial
 
 
+def _gap_count_failure(g: int, members: int) -> NotLSpaceShape:
+    return NotLSpaceShape(f"{2 * g - members} gaps below 2g = {2 * g}; exactly {g} required")
+
+
+def _duality_failure(g: int, s: int) -> NotLSpaceShape:
+    return NotLSpaceShape(f"duality fails at {s}: exactly one of {s}, {2 * g - 1 - s} may be a member")
+
+
 @frozen
 class FormalSemigroup:
-    """Genus plus the members below 2*genus, sorted ascending."""
+    """Exponents 0 = n_0 < ... < n_{2r} = 2g of Delta; the members below 2g are the runs [n_{2i}, n_{2i+1})."""
 
-    genus: int
-    small_elements: tuple[int, ...]
+    exponents: tuple[int, ...]
 
     def __post_init__(self):
-        small = tuple(sorted(set(int(s) for s in self.small_elements)))
-        object.__setattr__(self, "small_elements", small)
-        object.__setattr__(self, "genus", int(self.genus))
-        g = self.genus
-        if g < 0:
-            raise NotLSpaceShape("genus must be nonnegative")
-        if g == 0:
-            if small:
-                raise NotLSpaceShape("genus 0 admits no elements below 0")
-            return
-        if small[0] != 0:
-            raise NotLSpaceShape("0 must be a member")
-        if small[-1] >= 2 * g:
-            raise NotLSpaceShape(f"member {small[-1]} is not below 2g = {2 * g}")
-        if len(small) != g:
-            raise NotLSpaceShape(
-                f"{2 * g - len(small)} gaps below 2g = {2 * g}; exactly {g} required"
-            )
-        members = set(small)
-        for s in range(2 * g):
-            if (s in members) == ((2 * g - 1 - s) in members):
-                raise NotLSpaceShape(f"duality fails at {s}: exactly one of {s}, {2 * g - 1 - s} may be a member")
-        for i, s in enumerate(small):
-            if s < 2 * i:
-                raise NotLSpaceShape(f"member {s} in position {i} is below the growth bound {2 * i}")
+        exps = self.exponents
+        if not exps or exps[0] != 0 or not all(map(lt, exps, exps[1:])):
+            raise NotLSpaceShape("exponents must strictly increase from 0")
+        if len(exps) % 2 == 0:
+            raise NotLSpaceShape("the number of terms must be odd")
+        if exps[-1] % 2 != 0:
+            raise NotLSpaceShape(f"degree {exps[-1]} must be even")
+        g, members = self.genus, self.run_starts[-1][1]
+        if members != g:
+            raise _gap_count_failure(g, members)
+        # s -> 2g-1-s maps the gaps onto runs with exponents 2g - n_{2r-i}; duality
+        # makes them the members, and the sets first differ where the lists do
+        mirror = tuple(map(sub, repeat(2 * g), reversed(exps)))
+        if mirror != exps:
+            raise _duality_failure(g, min(next((a, b) for a, b in zip(exps, mirror) if a != b)))
+        for (lo, position), hi in zip(self.run_starts, exps[1::2]):
+            if hi + 2 * position > 2 * lo + 1:  # the last member, hi - 1, is below twice its position
+                i = max(position, lo - position + 1)  # the first position where it happens
+                raise NotLSpaceShape(f"member {lo - position + i} in position {i} is below the growth bound {2 * i}")
+
+    @property
+    def genus(self) -> int:
+        return self.exponents[-1] // 2
 
     @cached_property
-    def _small_set(self) -> frozenset[int]:
-        return frozenset(self.small_elements)
+    def run_starts(self) -> tuple[tuple[int, int], ...]:
+        """(n_{2i}, number of members below it) for i = 0, ..., r, ending with (2g, g)."""
+        exps = self.exponents
+        return tuple(zip(exps[::2], accumulate(map(sub, exps[1::2], exps[::2]), initial=0)))
+
+    @cached_property
+    def small_elements(self) -> tuple[int, ...]:
+        """The members below 2g, ascending."""
+        exps = self.exponents
+        return tuple(chain.from_iterable(map(range, exps[::2], exps[1::2])))
 
     def __contains__(self, s: int) -> bool:
-        if s < 0:
-            return False
-        return s >= 2 * self.genus or s in self._small_set
+        return bisect_right(self.exponents, s) % 2 == 1
 
     def count_below(self, m: int) -> int:
         """Number of members in [0, m)."""
-        if m <= 0:
-            return 0
-        if m >= 2 * self.genus:
-            return self.genus + (m - 2 * self.genus)
-        return bisect_left(self.small_elements, m)
+        i = bisect_right(self.exponents, m) - 1  # n_i <= m < n_{i+1}
+        start, below = self.run_starts[(i + 1) // 2]
+        return below if i % 2 else below + m - start  # i odd: m is a gap, or m < 0
 
     def __str__(self):
-        g = self.genus
         finite = ",".join(str(s) for s in self.small_elements)
-        return f"{{{finite}}} u Z>={2 * g} (genus {g})"
+        return f"{{{finite}}} u Z>={self.exponents[-1]} (genus {self.genus})"
+
+
+def from_members(genus: int, members) -> FormalSemigroup:
+    """The set of the given genus whose members below 2*genus are ``members``."""
+    g, members = int(genus), set(map(int, members))
+    if g < 0:
+        raise NotLSpaceShape("genus must be nonnegative")
+    if g == 0 and members:
+        raise NotLSpaceShape("genus 0 admits no elements below 0")
+    if g and (not members or min(members) != 0):
+        raise NotLSpaceShape("0 must be a member")
+    if members and max(members) >= 2 * g:
+        raise NotLSpaceShape(f"member {max(members)} is not below 2g = {2 * g}")
+    if 2 * g - 1 in members:  # so is 0, and no exponents describe a run that meets 2g
+        if len(members) != g:
+            raise _gap_count_failure(g, len(members))
+        raise _duality_failure(g, 0)
+    # the support of (1 - t) * sum(t^s): the members after a gap and the gaps after a member
+    exps = sorted(members ^ set(map(add, members, repeat(1))))
+    return FormalSemigroup((*exps, 2 * g))
 
 
 def from_alexander(d: IntPolynomial) -> FormalSemigroup:
-    """Gap-set complement of an Alexander polynomial: the support of d(t)/(1-t).
-
-    The polynomial needs the L-space shape: coefficients alternating +1/-1
-    from a constant term 1, and even degree.  The members below 2g are then
-    the runs between consecutive exponent pairs; the constructor checks
-    duality and growth.
-    """
+    """Gap-set complement of d: its exponents, once its coefficients alternate +1/-1 from a constant 1."""
     if d.is_zero:
         raise NotLSpaceShape("the zero polynomial has no gap set")
     if d.terms[0] != (0, 1):
         raise NotLSpaceShape("constant term must be 1")
-    for i, (_, c) in enumerate(d.terms):
-        if c != (1 if i % 2 == 0 else -1):
-            raise NotLSpaceShape("coefficients must alternate between 1 and -1")
-    if len(d.terms) % 2 == 0:
-        raise NotLSpaceShape("the number of terms must be odd")
-    if d.degree % 2 != 0:
-        raise NotLSpaceShape(f"degree {d.degree} must be even")
-    exps = [e for e, _ in d.terms]
-    small = tuple(s for lo, hi in zip(exps[::2], exps[1::2]) for s in range(lo, hi))
-    return FormalSemigroup(d.degree // 2, small)
+    if any(c != (-1 if i % 2 else 1) for i, (_, c) in enumerate(d.terms)):
+        raise NotLSpaceShape("coefficients must alternate between 1 and -1")
+    return FormalSemigroup(tuple(e for e, _ in d.terms))
 
 
 def to_alexander(sg: FormalSemigroup) -> IntPolynomial:
-    """Exact inverse of :func:`from_alexander`: +t^lo - t^hi per run [lo, hi), then +t^{2g}.
-
-    The last run ends below 2g, because 2g - 1 is always a gap.
-    """
-    terms = []
-    for s in sg.small_elements:
-        if terms and terms[-1][0] == s:
-            terms[-1] = (s + 1, -1)  # s extends the current run
-        else:
-            terms += ((s, 1), (s + 1, -1))
-    terms.append((2 * sg.genus, 1))
-    return IntPolynomial(tuple(terms))
+    """Exact inverse of :func:`from_alexander`: +t^lo - t^hi per run [lo, hi), then +t^{2g}."""
+    return IntPolynomial(tuple((e, -1 if i % 2 else 1) for i, e in enumerate(sg.exponents)))
 
 
 def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
     """Lexicographically least (x, y), 0 < x <= y, with x, y members but x + y a gap.
 
     With m the least positive member, the least member y with y + m a gap
-    gives the witness (m, y).  Failing that, S + m lies in S, so S is the
-    union of the classes w_j + mN over the Apery set w (w_j the least member
-    congruent to j mod m) and s is a member exactly when s >= w_{s mod m}.
-    A witness (x, y) with x - m a positive member yields the smaller witness
-    (x - m, y), so the least one has x = w_i for some i != 0.  For that x and
-    each residue j, the least member y >= x in the class of j is the only
-    candidate there, since adding m to y keeps x + y in the same class; it is
-    a witness exactly when x + y < w_{(x+y) mod m}.  The cost is O(g + m^2).
+    gives the witness (m, y); in a run [a, b) of members that is a, or else
+    the end of the run through a + m, less m.  Failing that, S + m lies in
+    S, so S is the union of the classes w_j + mN over the Apery set w (w_j
+    the least member congruent to j mod m), s is a member exactly when
+    s >= w_{s mod m}, and the first m members of each run give w.  A witness
+    (x, y) with x - m a positive member yields the smaller witness
+    (x - m, y), so the least one has x = w_i for some i != 0.  For that x
+    and each residue j, the least member y >= x in the class of j is the
+    only candidate there, since adding m to y keeps x + y in the same class;
+    it is a witness exactly when x + y < w_{(x+y) mod m}.  The cost is
+    O(r log r + r m + m^2) for r runs.
     """
     if sg.genus == 0:
         return None
-    two_g = 2 * sg.genus
+    two_g, exps = 2 * sg.genus, sg.exponents
     m = min_nonzero(sg)
-    for y in sg.small_elements[1:]:
-        if y + m >= two_g:
+    for a, b in zip(exps[2::2], exps[3::2]):
+        if a + m >= two_g:
             break
-        if y + m not in sg:
+        i = bisect_right(exps, a + m)  # odd when a + m is a member, and n_i ends its run
+        y = exps[i] - m if i % 2 else a
+        if y < b:
             return (m, y)
     apery = [None] * m
-    for s in chain(sg.small_elements, range(two_g, two_g + m)):
-        if apery[s % m] is None:
-            apery[s % m] = s
+    for a, b in zip(exps[::2], chain(exps[1::2], [two_g + m])):  # the last run is [2g, 2g + m)
+        for s in range(a, min(b, a + m)):
+            if apery[s % m] is None:
+                apery[s % m] = s
     for x in sorted(apery[1:]):
         if 2 * x >= two_g:
             break  # x + y >= 2x is then a member
@@ -196,7 +202,7 @@ def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
             if s >= 2 * g2:
                 break
             small.append(s)
-    return FormalSemigroup(g2, tuple(small))
+    return from_members(g2, small)
 
 
 def from_generators(gens) -> FormalSemigroup:
@@ -228,13 +234,11 @@ def from_generators(gens) -> FormalSemigroup:
             if apery[k] is None:
                 heappush(heap, (w + gen, k))
     g = (sum(apery) - a * (a - 1) // 2) // a
-    return FormalSemigroup(g, tuple(s for s in range(2 * g) if s >= apery[s % a]))
+    return from_members(g, (s for s in range(2 * g) if s >= apery[s % a]))
 
 
 def min_nonzero(sg: FormalSemigroup) -> int:
-    """Least positive member; needs genus >= 1."""
+    """Least positive member, n_2 (growth makes n_1 = 1); needs genus >= 1."""
     if sg.genus == 0:
         raise Undefined("least nonzero member requires genus >= 1")
-    if len(sg.small_elements) > 1:
-        return sg.small_elements[1]
-    return 2 * sg.genus
+    return sg.exponents[2]

@@ -17,10 +17,9 @@ line through m lies 2 - t >= 0 below the line through m - 1, and when m - 1
 is a gap it lies t >= 0 above it.  So inside a run of members only the first
 line counts, and inside a run of gaps each line is dominated by the next,
 up to the member that starts the following run.  The envelope therefore
-needs only the run starts: m = 0, every member m with m - 1 a gap, and
-m = 2g, which are the exponents of the positive terms of the Alexander
-polynomial.  The envelope itself is a single convex sweep over the
-slope-sorted lines.
+needs only the run starts m = 0, every member m with m - 1 a gap, and
+m = 2g: the even exponents n_0, n_2, ..., n_{2r} that ``FormalSemigroup``
+stores.  The envelope itself is a single convex sweep over the lines.
 """
 
 from __future__ import annotations
@@ -174,11 +173,7 @@ def jump_spectrum(f: PiecewiseLinear) -> dict[Fraction, Fraction]:
 
 def upsilon_from_semigroup(sg: FormalSemigroup) -> PiecewiseLinear:
     """Upsilon as the upper envelope of the member-count lines through the run starts."""
-    g = sg.genus
-    small = sg.small_elements
-    lines = [(s - g, -2 * i) for i, s in enumerate(small) if i == 0 or small[i - 1] != s - 1]
-    lines.append((g, -2 * g))  # m = 2g, the only line when g = 0
-    return envelope(lines)
+    return envelope((m - sg.genus, -2 * below) for m, below in sg.run_starts)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from lspaceknots import FormalSemigroup, NotLSpaceShape, cable, genus, torus
+from lspaceknots import NotLSpaceShape, cable, from_members, genus, torus
 
 
 @st.composite
@@ -20,7 +20,7 @@ def formal_semigroups(draw, max_genus=40):
     while True:
         small = tuple(rng.choice((s, 2 * g - 1 - s)) for s in range(g))
         try:
-            return FormalSemigroup(g, small)
+            return from_members(g, small)
         except NotLSpaceShape:
             continue
 

@@ -250,3 +250,6 @@ def test_parse_polynomial_errors_carry_offset():
     with pytest.raises(ParseError) as info:
         parse_polynomial("1 + + t")
     assert info.value.position == 4
+    with pytest.raises(ParseError, match="expected an integer") as info:
+        parse_polynomial("t^²")  # a digit to str.isdigit, but not to int()
+    assert info.value.position == 2

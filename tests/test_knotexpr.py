@@ -32,6 +32,7 @@ from lspaceknots import (
     iterated_torus_generators,
     jfamily,
     parse,
+    parse_polynomial,
     torus,
     torus_alexander,
     tower,
@@ -148,6 +149,9 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as info:
         parse("T(2,3) % U")
     assert info.value.position == 7
+    with pytest.raises(ParseError, match="expected an integer") as info:
+        parse("T(²,3)")  # a digit to str.isdigit, but not to int()
+    assert info.value.position == 2
 
 
 def test_parse_caps_cable_nesting():
@@ -302,6 +306,11 @@ def test_certify_candidate_accepts_valid_polynomial():
 def test_certify_candidate_rejects_duality_failure():
     with pytest.raises(NotLSpaceShape, match="3 gaps below 2g = 4; exactly 2 required"):
         explicit_alexander(P([1, -1, 0, 0, 1]))
+    # g = 10^6 members, but 999990 + 1000015 != 2g: the sets first differ at 2g - 1000015
+    sparse = "1 - t + t^999990 - t^1000005 + t^1000015 - t^1999999 + t^2000000"
+    message = "^duality fails at 999985: exactly one of 999985, 1000014 may be a member$"
+    with pytest.raises(NotLSpaceShape, match=message):
+        explicit_alexander(parse_polynomial(sparse))
 
 
 def test_certify_candidate_rejects_growth_failure():
@@ -313,6 +322,8 @@ def test_certify_candidate_rejects_growth_failure():
 def test_certify_candidate_rejects_alpha1_bigger_than_one():
     with pytest.raises(NotLSpaceShape, match="member 1 in position 1 is below the growth bound 2"):
         explicit_alexander(P([1, 0, -1, 0, 1]))
+    with pytest.raises(NotLSpaceShape, match="member 1 in position 1 is below the growth bound 2"):
+        explicit_alexander(parse_polynomial("1 - t^1000000 + t^2000000"))
 
 
 def _alternating(gaps):

@@ -6,13 +6,13 @@ import pytest
 
 from lspaceknots import (
     Decomposition,
-    FormalSemigroup,
     IntPolynomial,
     JumpComparison,
     PiecewiseLinear,
     Torus,
     UNKNOT,
     cable,
+    from_members,
     torus,
 )
 from lspaceknots._record import frozen
@@ -98,9 +98,9 @@ def test_cached_properties_still_work():
     f = PiecewiseLinear((0, 1, 2), 0, (-1, 1))
     assert f.breakpoint_values == (0, -1, 0)
     assert f.breakpoint_values is f.breakpoint_values
-    sg = FormalSemigroup(2, (0, 2))
-    assert sg._small_set == {0, 2}
-    assert sg._small_set is sg._small_set
+    sg = from_members(2, (0, 2))
+    assert sg.small_elements == (0, 2)
+    assert sg.small_elements is sg.small_elements
 
 
 def test_repr_names_the_fields():

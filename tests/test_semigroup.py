@@ -23,6 +23,7 @@ from lspaceknots import (
     closure_witness,
     from_alexander,
     from_generators,
+    from_members,
     iterated_torus_generators,
     jfamily,
     min_nonzero,
@@ -90,11 +91,11 @@ def test_to_alexander_torus_3_7():
 
 
 def test_to_alexander_unknot():
-    assert to_alexander(FormalSemigroup(0, ())) == ONE
+    assert to_alexander(from_members(0, ())) == ONE
 
 
 def test_to_alexander_pretzel_reconstruction():
-    assert to_alexander(FormalSemigroup(5, (0, 3, 5, 7, 8))) == P(
+    assert to_alexander(from_members(5, (0, 3, 5, 7, 8))) == P(
         [1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1]
     )
 
@@ -126,19 +127,83 @@ def test_roundtrip_from_alexander_side(p, q):
 # --- constructor invariants ---------------------------------------------------
 
 
+def test_constructor_rejects_exponents_out_of_shape():
+    for exponents in ((), (1, 2, 4), (0, 2, 2), (0, 3, 1)):
+        with pytest.raises(NotLSpaceShape, match="^exponents must strictly increase from 0$"):
+            FormalSemigroup(exponents)
+    with pytest.raises(NotLSpaceShape, match="^the number of terms must be odd$"):
+        FormalSemigroup((0, 1))
+    with pytest.raises(NotLSpaceShape, match="^degree 3 must be even$"):
+        FormalSemigroup((0, 1, 3))
+    assert FormalSemigroup((0, 1, 3, 4, 6, 8, 9, 11, 12)) == S_T37
+
+
 def test_constructor_rejects_duality_failure():
     with pytest.raises(NotLSpaceShape, match="duality fails at 0"):
-        FormalSemigroup(2, (0, 3))  # 0 and 3 are dual partners
+        from_members(2, (0, 3))  # 0 and 3 are dual partners
 
 
 def test_constructor_rejects_wrong_gap_count():
     with pytest.raises(NotLSpaceShape, match="4 gaps below 2g = 6; exactly 3 required"):
-        FormalSemigroup(3, (0, 4))
+        from_members(3, (0, 4))
 
 
 def test_constructor_rejects_growth_failure():
     with pytest.raises(NotLSpaceShape, match="member 3 in position 2 is below the growth bound 4"):
-        FormalSemigroup(4, (0, 2, 3, 6))
+        from_members(4, (0, 2, 3, 6))
+
+
+def dense_rule(g, members):
+    """Reference for genus g >= 1: the message of the first structural rule the members break, or None.
+
+    The rules are read off the members one integer at a time: 0 is a member,
+    all lie below 2g, there are g of them, s or 2g-1-s is a member but not
+    both for every s < 2g, and the member in position i is at least 2i.
+    """
+    small = sorted(members)
+    if not small or small[0] != 0:
+        return "0 must be a member"
+    if small[-1] >= 2 * g:
+        return f"member {small[-1]} is not below 2g = {2 * g}"
+    if len(small) != g:
+        return f"{2 * g - len(small)} gaps below 2g = {2 * g}; exactly {g} required"
+    for s in range(2 * g):
+        if (s in members) == ((2 * g - 1 - s) in members):
+            return f"duality fails at {s}: exactly one of {s}, {2 * g - 1 - s} may be a member"
+    for i, s in enumerate(small):
+        if s < 2 * i:
+            return f"member {s} in position {i} is below the growth bound {2 * i}"
+    return None
+
+
+@given(formal_semigroups(), st.data())
+def test_from_members_follows_the_dense_rule(sg, data):
+    g = sg.genus
+    drop = data.draw(st.none() | st.sampled_from(sg.small_elements), label="drop")
+    add = data.draw(st.none() | st.integers(-1, 2 * g) | st.just(2 * g - 1), label="add")
+    members = (set(sg.small_elements) - {drop}) | ({add} - {None})
+    expected = dense_rule(g, members)
+    try:
+        out = from_members(g, members)
+    except NotLSpaceShape as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert out.small_elements == tuple(sorted(members))
+    assert from_members(g, out.small_elements) == out
+    assert from_alexander(to_alexander(out)) == out
+    assert [s for s in range(-2, 2 * g + 2) if s in out] == [*sorted(members), 2 * g, 2 * g + 1]
+    for m in range(-1, 2 * g + 3):
+        assert out.count_below(m) == len([s for s in range(m) if s in out])
+
+
+def test_from_members_rejects_sets_of_no_genus():
+    with pytest.raises(NotLSpaceShape, match="^genus must be nonnegative$"):
+        from_members(-1, ())
+    with pytest.raises(NotLSpaceShape, match="^genus 0 admits no elements below 0$"):
+        from_members(0, (0,))
+    with pytest.raises(NotLSpaceShape, match="^0 must be a member$"):
+        from_members(1, ())
 
 
 def test_membership_and_counting():
@@ -159,7 +224,7 @@ def test_pretzel_is_not_closed():
 
 
 def test_genus_zero_is_closed():
-    assert closure_witness(FormalSemigroup(0, ())) is None
+    assert closure_witness(from_members(0, ())) is None
 
 
 def dense_closure_witness(sg):
@@ -180,12 +245,12 @@ def test_closure_witness_matches_dense_pair_scan(sg):
 
 def test_closure_witness_past_the_least_member():
     # S + 4 lies in S, so the witness comes from the Apery set {0, 5, 14, 19} of 4
-    apery_4 = FormalSemigroup(8, (0, 4, 5, 8, 9, 12, 13, 14))
+    apery_4 = from_members(8, (0, 4, 5, 8, 9, 12, 13, 14))
     assert closure_witness(apery_4) == dense_closure_witness(apery_4) == (5, 5)
-    apery_6 = FormalSemigroup(12, (0, 6, 7, 8, 12, 13, 14, 18, 19, 20, 21, 22))
+    apery_6 = from_members(12, (0, 6, 7, 8, 12, 13, 14, 18, 19, 20, 21, 22))
     assert closure_witness(apery_6) == dense_closure_witness(apery_6) == (7, 8)
     # for x = 10 both y = 15 (residue 3) and y = 10 (residue 4) are witnesses; the least wins
-    two_ys = FormalSemigroup(
+    two_ys = from_members(
         18, (0, 6, 10, 12, 15, 16, 18, 21, 22, 24, 26, 27, 28, 30, 31, 32, 33, 34)
     )
     assert closure_witness(two_ys) == dense_closure_witness(two_ys) == (10, 10)
@@ -209,7 +274,7 @@ def test_cable_semigroup_2_7():
 
 
 def test_cable_semigroup_of_unknot_set():
-    assert cable_semigroup(FormalSemigroup(0, ()), 3, 5) == from_generators({3, 5})
+    assert cable_semigroup(from_members(0, ()), 3, 5) == from_generators({3, 5})
 
 
 def test_cable_semigroup_below_the_bound_follows_the_product_rule():
@@ -260,7 +325,7 @@ def test_from_generators_3_7():
 
 
 def test_from_generators_unit():
-    assert from_generators({1}) == FormalSemigroup(0, ())
+    assert from_generators({1}) == from_members(0, ())
 
 
 def test_from_generators_5_6_9():
@@ -338,18 +403,19 @@ def dense_gap_set(d: IntPolynomial) -> FormalSemigroup:
         assert running in (0, 1)
         if running:
             members.append(s)
-    return FormalSemigroup(d.degree // 2, tuple(members))
+    return from_members(d.degree // 2, tuple(members))
 
 
 @settings(deadline=None)
 @given(certified_towers())
 def test_gap_set_routes_agree_on_certified_towers(knot):
     d = alexander(knot)
-    via_cabling = FormalSemigroup(0, ())  # T(p, q) is the (p, q)-cable of the unknot
+    via_cabling = from_members(0, ())  # T(p, q) is the (p, q)-cable of the unknot
     for p, q in tower(knot):
         via_cabling = cable_semigroup(via_cabling, p, q)
     via_generators = from_generators(iterated_torus_generators(knot))
     assert from_alexander(d) == via_generators == via_cabling == dense_gap_set(d)
+    assert closure_witness(via_cabling) is None
 
 
 # --- least nonzero member -------------------------------------------------------
@@ -364,4 +430,4 @@ def test_min_nonzero_examples():
 
 def test_min_nonzero_undefined_for_genus_zero():
     with pytest.raises(Undefined):
-        min_nonzero(FormalSemigroup(0, ()))
+        min_nonzero(from_members(0, ()))

@@ -47,6 +47,8 @@ KNOTS = (
     # error paths: parse, range, not an L-space knot, not iterated torus
     "T(2,4)", "J(2)", "C(T(2,3);2,1)", "C(T(3,14);2,21)", "C(U;0,5)", "C(T(2,3);1,0)",
     "T(2,3", "Q(1)", "", "C(" * 120 + "T(2,3)" + ";1,1)" * 120,
+    # digits to str.isdigit that int() rejects
+    "T(²,3)", "t^²",
 )
 
 FORMATS = (("--format", "json"), ("--format", "csv"), ("--format", "text"))
