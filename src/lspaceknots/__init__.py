@@ -34,8 +34,6 @@ from .knotexpr import (
     KnotExpr,
     LSpaceStatus,
     PRETZEL_P237,
-    Pretzel237,
-    Torus,
     UNKNOT,
     alexander,
     cable,

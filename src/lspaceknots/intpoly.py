@@ -172,24 +172,30 @@ def _t_power_minus_one(k: int) -> IntPolynomial:
     return IntPolynomial(((0, -1), (k, 1)))
 
 
+def check_torus_indices(p: int, q: int) -> None:
+    """Raise ConstraintError unless p and q are positive and coprime, as T(p, q) needs."""
+    if p < 1 or q < 1:
+        raise ConstraintError(f"torus indices must be positive, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ConstraintError(f"torus indices ({p}, {q}) must be coprime")
+
+
 def torus_alexander(p: int, q: int) -> IntPolynomial:
     """Unsymmetrized Alexander polynomial of the (p, q) torus knot.
 
     Computed by exact division of (t^{pq} - 1)(t - 1) by (t^p - 1)(t^q - 1);
     the result has constant term 1 and degree (p - 1)(q - 1).
     """
-    if p < 1 or q < 1:
-        raise ConstraintError(f"torus indices must be positive, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ConstraintError(f"torus indices ({p}, {q}) must be coprime")
+    check_torus_indices(p, q)
     num = _t_power_minus_one(p * q) * _t_power_minus_one(1)
     quot = poly_exact_div(num, _t_power_minus_one(p))
     return poly_exact_div(quot, _t_power_minus_one(q))
 
 
 def cable_alexander(inner: IntPolynomial, p: int, q: int) -> IntPolynomial:
-    """Alexander polynomial of a (p, q)-cable: inner evaluated at t^p times the torus factor."""
-    return substitute_power(inner, p) * torus_alexander(p, q)
+    """Alexander polynomial of a (p, q)-cable: inner at t^p times the torus factor, alone when inner = 1."""
+    torus = torus_alexander(p, q)
+    return torus if inner == ONE else substitute_power(inner, p) * torus
 
 
 class Scanner:

@@ -1,19 +1,20 @@
 """Iterated-torus knot descriptions and their basic invariants.
 
-Knots are immutable values: ``Torus(p, q)``, an explicit Alexander-polynomial
-candidate, the (-2,3,7) pretzel knot (a built-in example whose gap set is not
-closed under addition), and ``Cable(core, stages)``, one of those cabled by
-the (p, q) pairs in ``stages``, innermost first.  ``cable()`` alone
-normalises, so equality is equality of canonical forms: torus indices are
-sorted and any index 1 gives the unknot, (1, q)-cables collapse to the
-companion, cables of the unknot become torus knots, and cabling a cable
-appends a stage.  Genus is closed-form on towers, g' = p*g + (p-1)(q-1)/2, so
-``certify_lspace``, the one L-space gate, checks Hedden's bound
-q >= p(2g - 1) stage by stage without any polynomial and raises NotLSpace
-at the first stage below it.  A candidate is checked in full when it is
-built: a polynomial without the L-space shape, or whose gap set fails
-duality or growth, raises NotLSpaceShape there, so certification builds no
-gap set for any knot; ``semigroup_of`` returns the set the candidate kept.
+A knot is an immutable value: a core, or ``Cable(core, stages)``, the core
+cabled by the (p, q) pairs in ``stages``, innermost first.  Every core is an
+``ExplicitAlexander``, an Alexander polynomial with an optional name: the
+unknot ``U`` and the (-2,3,7) pretzel knot ``P237`` (whose gap set is not
+closed under addition) are named, an ``alex[...]`` candidate is not.  As
+Delta_{C(K;p,q)}(t) = Delta_K(t^p) * Delta_{T(p,q)}(t) and Delta_U = 1, the
+torus knot T(p, q), 2 <= p < q, is the first stage over the unknot.
+``cable()`` alone normalises, so equality is equality of canonical forms: a
+stage over the unknot has sorted indices, a (1, q)-cable collapses to its
+companion, and cabling a cable appends a stage.  Genus is half the core's
+degree, then ``semigroup.cable_genus`` per stage, so ``certify_lspace``, the
+one L-space gate, checks Hedden's bound q >= p(2g - 1) stage by stage without
+any polynomial and raises NotLSpace at the first stage below it.  A core is
+checked in full when it is built: a polynomial without the L-space shape, or
+whose gap set fails duality or growth, raises NotLSpaceShape there.
 
 Knots and their integer linear combinations are read by ``parse`` from a
 small text grammar (whitespace-insensitive):
@@ -30,7 +31,8 @@ k >= 3; ``alex[...]`` lists dense low-to-high coefficients of a candidate
 Alexander polynomial; ``U`` is the unknot.  A leading '-' is allowed.
 ``polynomial`` is ``intpoly``'s polynomial text, such as ``1 - t + t^3``, and
 gives one candidate with multiplicity 1.  The combination is tried first; when
-neither reading succeeds, the ParseError is the combination's.
+neither reading succeeds, the ParseError is the one that read further, the
+combination's on a tie.
 ``C(`` may nest at most MAX_CABLE_DEPTH deep; a deeper ``C`` raises
 ParseError at its offset.  The cap costs nothing real: every cabling stage
 that survives normalization at least doubles the genus.
@@ -45,35 +47,36 @@ from math import gcd
 from . import semigroup
 from ._record import frozen
 from .errors import ConstraintError, NotIteratedTorus, NotLSpace, ParseError
-from .intpoly import IntPolynomial, Scanner, cable_alexander, parse_polynomial, signed_sum, torus_alexander
+from .intpoly import ONE, IntPolynomial, Scanner, cable_alexander, check_torus_indices, parse_polynomial, signed_sum
 
 
 class KnotExpr:
-    """Marker base class for knot expressions; every core but a torus knot has a ``poly``."""
+    """Marker base class for knot expressions: a core (``ExplicitAlexander``) or a ``Cable`` of one."""
 
     __slots__ = ()
 
 
 @frozen
-class Torus(KnotExpr):
-    p: int
-    q: int
+class ExplicitAlexander(KnotExpr):
+    """A core: its Alexander polynomial, and a name for the certified ones (``U``, ``P237``)."""
+
+    poly: IntPolynomial
+    name: str | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ConstraintError(f"torus indices must be positive, got ({self.p}, {self.q})")
-        if gcd(self.p, self.q) != 1:
-            raise ConstraintError(f"torus indices ({self.p}, {self.q}) must be coprime")
-        p, q = self.p, self.q
-        if p == 1 or q == 1:
-            p = q = 1  # every T(1, q) is the unknot
-        elif p > q:
-            p, q = q, p  # T(p, q) = T(q, p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        # checks shape, duality and growth; semigroup_of reads the set kept here
+        object.__setattr__(self, "_semigroup", semigroup.from_alexander(self.poly))
 
     def __str__(self):
-        return "U" if self.p == 1 else f"T({self.p},{self.q})"
+        return self.name or "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
+
+
+# Alexander polynomial of P(-2,3,7); its gap-set complement is
+# {0,3,5,7,8} together with everything from 10 on.
+PRETZEL_ALEXANDER = IntPolynomial.from_coeffs([1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1])
+
+UNKNOT = ExplicitAlexander(ONE, "U")
+PRETZEL_P237 = ExplicitAlexander(PRETZEL_ALEXANDER, "P237")
 
 
 def _check_stage(p: int, q: int) -> None:
@@ -88,7 +91,7 @@ def _check_stage(p: int, q: int) -> None:
 
 @frozen
 class Cable(KnotExpr):
-    core: KnotExpr
+    core: ExplicitAlexander
     stages: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -96,62 +99,38 @@ class Cable(KnotExpr):
             _check_stage(p, q)
             if p == 1:
                 raise ConstraintError("cable nodes need p >= 2, got 1; use cable() to normalize")
-        core = self.core
-        if not self.stages or not isinstance(core, KnotExpr) or isinstance(core, Cable) or core == UNKNOT:
-            raise ConstraintError("a cable needs stages above a knot other than a cable or the unknot; use cable()")
+        if not self.stages or not isinstance(self.core, ExplicitAlexander):
+            raise ConstraintError("a cable needs stages above a core that is not a cable; use cable()")
+        p, q = self.stages[0]
+        if p > q and self.core == UNKNOT:
+            raise ConstraintError(f"a stage over the unknot needs p < q, got ({p}, {q}); use cable()")
 
     def __str__(self):
-        return "C(" * len(self.stages) + str(self.core) + "".join(f";{p},{q})" for p, q in self.stages)
+        text, stages = str(self.core), self.stages
+        if self.core == UNKNOT:
+            text, stages = "T({},{})".format(*stages[0]), stages[1:]
+        return "C(" * len(stages) + text + "".join(f";{p},{q})" for p, q in stages)
 
 
-@frozen
-class ExplicitAlexander(KnotExpr):
-    poly: IntPolynomial
-
-    def __post_init__(self):
-        # checks shape, duality and growth; semigroup_of reads the set kept here
-        object.__setattr__(self, "_semigroup", semigroup.from_alexander(self.poly))
-
-    def __str__(self):
-        return "alex[" + ",".join(str(c) for c in self.poly.coefficients()) + "]"
-
-
-# Alexander polynomial of P(-2,3,7); its gap-set complement is
-# {0,3,5,7,8} together with everything from 10 on.
-PRETZEL_ALEXANDER = IntPolynomial.from_coeffs([1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1])
-
-
-@frozen
-class Pretzel237(KnotExpr):
-    """The (-2, 3, 7) pretzel knot, carried as a fixed example."""
-
-    poly = PRETZEL_ALEXANDER  # a constant, not a field
-
-    def __str__(self):
-        return "P237"
-
-
-UNKNOT = Torus(1, 1)
-PRETZEL_P237 = Pretzel237()
-
-
-def torus(p: int, q: int) -> Torus:
-    return Torus(p, q)
+def torus(p: int, q: int) -> KnotExpr:
+    """The torus knot T(p, q), the (p, q)-cable of the unknot."""
+    check_torus_indices(p, q)
+    return cable(UNKNOT, p, q)
 
 
 def cable(inner: KnotExpr, p: int, q: int) -> KnotExpr:
     """(p, q)-cable of ``inner``; the one place that normalises a cabling."""
     _check_stage(p, q)
+    if p > q and inner == UNKNOT:
+        p, q = q, p  # T(p, q) = T(q, p)
     if p == 1:
         return inner  # a (1, q)-cable is the same knot
-    if inner == UNKNOT:
-        return Torus(p, q)
     core, stages = _core_and_stages(inner)
     return Cable(core, stages + ((p, q),))
 
 
-def _core_and_stages(knot: KnotExpr) -> tuple[KnotExpr, tuple[tuple[int, int], ...]]:
-    """The knot that is not a cable at the bottom of ``knot``, and the stages above it."""
+def _core_and_stages(knot: KnotExpr) -> tuple[ExplicitAlexander, tuple[tuple[int, int], ...]]:
+    """The core at the bottom of ``knot``, and the stages above it."""
     return (knot.core, knot.stages) if isinstance(knot, Cable) else (knot, ())
 
 
@@ -159,7 +138,7 @@ def jfamily(k: int) -> KnotExpr:
     """The (k, 2k-1)-cable of the trefoil, defined for k >= 3."""
     if k < 3:
         raise ConstraintError(f"J(k) needs k >= 3, got {k}")
-    return cable(Torus(2, 3), k, 2 * k - 1)
+    return cable(torus(2, 3), k, 2 * k - 1)
 
 
 def explicit_alexander(poly: IntPolynomial) -> ExplicitAlexander:
@@ -299,8 +278,8 @@ def parse(text: str) -> KnotCombination:
     except ParseError as knot_error:
         try:
             poly = parse_polynomial(text)
-        except ParseError:
-            raise knot_error from None
+        except ParseError as poly_error:
+            raise (poly_error if poly_error.position > knot_error.position else knot_error) from None
     return combination([(ExplicitAlexander(poly), 1)])
 
 
@@ -308,34 +287,33 @@ def parse(text: str) -> KnotCombination:
 def alexander(knot: KnotExpr) -> IntPolynomial:
     """Unsymmetrized Alexander polynomial with constant term 1."""
     core, stages = _core_and_stages(knot)
-    poly = torus_alexander(core.p, core.q) if isinstance(core, Torus) else core.poly
+    poly = core.poly
     for p, q in stages:
         poly = cable_alexander(poly, p, q)
     return poly
 
 
 def semigroup_of(knot: KnotExpr) -> semigroup.FormalSemigroup:
-    """Gap-set complement S of a knot; a candidate returns the one it built when it was checked."""
-    if isinstance(knot, ExplicitAlexander):
-        return knot._semigroup
-    return semigroup.from_alexander(alexander(knot))
+    """Gap-set complement S of a knot; a bare core returns the one it built when it was checked."""
+    core, stages = _core_and_stages(knot)
+    return semigroup.from_alexander(alexander(knot)) if stages else core._semigroup
 
 
 def genus(knot: KnotExpr) -> int:
-    """Closed form for torus knots and cables; half the Alexander degree of any other core."""
+    """Half the core's Alexander degree, then the closed form of each cabling stage."""
     core, stages = _core_and_stages(knot)
-    g = (core.p - 1) * (core.q - 1) // 2 if isinstance(core, Torus) else core.poly.degree // 2
+    g = core.poly.degree // 2
     for p, q in stages:
-        g = p * g + (p - 1) * (q - 1) // 2
+        g = semigroup.cable_genus(g, p, q)
     return g
 
 
 def tower(knot: KnotExpr) -> list[tuple[int, int]]:
-    """Cabling indices innermost-first; the first pair is the core torus knot."""
+    """Cabling indices over the unknot, innermost first; the first pair is the torus knot."""
     core, stages = _core_and_stages(knot)
-    if not isinstance(core, Torus):
+    if core != UNKNOT:
         raise NotIteratedTorus(f"{core} is not an iterated torus expression")
-    return [(core.p, core.q), *stages]
+    return list(stages)
 
 
 class LSpaceStatus(Enum):
@@ -352,23 +330,23 @@ class Algebraicity(Enum):
 def certify_lspace(knot: KnotExpr) -> LSpaceStatus:
     """The gate in front of every invariant that assumes an L-space knot.
 
-    Torus knots and the pretzel example are CERTIFIED outright.  A cable is
-    an L-space knot exactly when its core is and each stage (p, q) has
-    q >= p(2g - 1), g the closed-form genus below it (Hedden); the first
-    stage below that bound raises NotLSpace.  An explicit Alexander
-    candidate passed the necessary checks of the gap-set constructor
-    (duality and growth) when it was built, so its core is CANDIDATE, never
+    The named cores, U and P237, are CERTIFIED outright.  A cable is an
+    L-space knot exactly when its core is and each stage (p, q) has
+    q >= p(2g - 1), g the closed-form genus below it (Hedden), so every
+    torus knot passes; the first stage below that bound raises NotLSpace.
+    An unnamed core passed the necessary checks of the gap-set constructor
+    (duality and growth) when it was built, so it is CANDIDATE, never
     CERTIFIED: the L-space property is not decidable from the polynomial
     alone.  This is the only place that checks the bound.
     """
     core, stages = _core_and_stages(knot)
-    g = genus(core)
+    g = core.poly.degree // 2
     for p, q in stages:
         bound = p * (2 * g - 1)
         if q < bound:
             raise NotLSpace(f"cable index q={q} is below p*(2g-1)={bound}")
-        g = p * g + (p - 1) * (q - 1) // 2
-    return LSpaceStatus.CANDIDATE if isinstance(core, ExplicitAlexander) else LSpaceStatus.CERTIFIED
+        g = semigroup.cable_genus(g, p, q)
+    return LSpaceStatus.CERTIFIED if core.name else LSpaceStatus.CANDIDATE
 
 
 def classify_algebraic(knot: KnotExpr) -> Algebraicity:
@@ -391,10 +369,10 @@ def classify_algebraic(knot: KnotExpr) -> Algebraicity:
 def iterated_torus_generators(knot: KnotExpr) -> set[int]:
     """Generators of the gap-set complement of an iterated-torus L-space knot.
 
-    Raises NotIteratedTorus for a core that is not a torus knot, then
-    certifies the tower, so a stage below Hedden's bound raises NotLSpace.
-    For a tower with stages (p_1, q_1), ..., (p_m, q_m) the generators are
-    p_1*p_2*...*p_m, q_1*p_2*...*p_m, q_2*p_3*...*p_m, ..., q_{m-1}*p_m, q_m.
+    Raises NotIteratedTorus for a core other than the unknot, then certifies
+    the tower, so a stage below Hedden's bound raises NotLSpace.  For stages
+    (p_1, q_1), ..., (p_m, q_m) over the unknot, T(p_1, q_1) the first, the
+    generators are p_1*p_2*...*p_m, q_1*p_2*...*p_m, ..., q_{m-1}*p_m, q_m.
     """
     stages = tower(knot)
     certify_lspace(knot)

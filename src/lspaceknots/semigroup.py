@@ -179,6 +179,11 @@ def closure_witness(sg: FormalSemigroup) -> tuple[int, int] | None:
     return None
 
 
+def cable_genus(g: int, p: int, q: int) -> int:
+    """Genus of the (p, q)-cable of a knot of genus g: p*g + (p-1)(q-1)/2."""
+    return p * g + (p - 1) * (q - 1) // 2
+
+
 def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
     """Gap-set complement of the (p, q)-cable: the union of p*S + b*q over b < p.
 
@@ -194,7 +199,7 @@ def cable_semigroup(sg: FormalSemigroup, p: int, q: int) -> FormalSemigroup:
         raise ConstraintError(f"cabling needs q >= 1, got {q}")
     if gcd(p, q) != 1:
         raise ConstraintError(f"cable indices ({p}, {q}) must be coprime")
-    g2 = p * sg.genus + (p - 1) * (q - 1) // 2
+    g2 = cable_genus(sg.genus, p, q)
     small = []
     for b in range(p):
         for member in chain(sg.small_elements, count(2 * sg.genus)):

@@ -1,6 +1,7 @@
 """Knot expression trees, the text grammar, and the certification logic."""
 
 import re
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -18,7 +19,6 @@ from lspaceknots import (
     NotLSpaceShape,
     ParseError,
     PRETZEL_P237,
-    Torus,
     UNKNOT,
     alexander,
     cable,
@@ -77,7 +77,8 @@ def test_cable_node_requires_p_at_least_two():
     with pytest.raises(ConstraintError):
         Cable(torus(2, 3), ((1, 5),))
     with pytest.raises(ConstraintError):
-        Cable(UNKNOT, ((3, 5),))
+        Cable(UNKNOT, ((5, 3),))  # a stage over the unknot has sorted indices
+    assert Cable(UNKNOT, ((3, 5),)) == torus(3, 5)
 
 
 def test_cable_rejects_common_factor():
@@ -130,6 +131,12 @@ def test_parse_merges_and_drops():
 def test_parse_unknot_and_pretzel():
     assert parse("U").items() == ((UNKNOT, 1),)
     assert parse("P237").items() == ((PRETZEL_P237, 1),)
+    # the same polynomials unnamed are candidates, not the named cores
+    for text, named in [("alex[1]", UNKNOT), ("alex[1,-1,0,1,-1,1,-1,1,0,-1,1]", PRETZEL_P237)]:
+        (knot, _), = parse(text).items()
+        assert knot != named and alexander(knot) == alexander(named)
+        assert str(knot) == text
+        assert certify_lspace(knot) is LSpaceStatus.CANDIDATE
 
 
 def test_parse_explicit_alexander():
@@ -149,9 +156,10 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as info:
         parse("T(2,3) % U")
     assert info.value.position == 7
-    with pytest.raises(ParseError, match="expected an integer") as info:
-        parse("T(²,3)")  # a digit to str.isdigit, but not to int()
-    assert info.value.position == 2
+    for text in ["T(²,3)", "t^²", "t^x"]:  # ² is a digit to str.isdigit, but not to int()
+        with pytest.raises(ParseError, match=re.escape("expected an integer (at offset 2)")) as info:
+            parse(text)
+        assert info.value.position == 2
 
 
 def test_parse_caps_cable_nesting():
@@ -180,13 +188,16 @@ def test_parse_reads_polynomial_text_as_one_candidate():
     assert parse(T37_TEXT) == combination([(ExplicitAlexander(torus_alexander(3, 7)), 1)])
 
 
-def test_parse_raises_the_knot_grammar_error_when_neither_reading_succeeds():
+def test_parse_raises_the_error_that_read_further_when_neither_reading_succeeds():
     with pytest.raises(ParseError, match=re.escape("expected ')' (at offset 5)")) as info:
-        parse("T(2,3")
+        parse("T(2,3")  # the polynomial reading stops at offset 0
     assert info.value.position == 5
-    # the polynomial reading would stop later, at the 'x' (offset 8)
-    with pytest.raises(ParseError, match=re.escape("expected '*' (at offset 2)")):
+    # the knot reading stops at offset 2, expecting '*' after the multiplicity 1
+    with pytest.raises(ParseError, match=re.escape("expected a term (at offset 8)")):
         parse("1 - t + x")
+    # both stop at offset 0: the knot grammar's error
+    with pytest.raises(ParseError, match=re.escape("expected a knot atom (T, C, J, P237, U or alex[...]) (at offset 0)")):
+        parse("Q(1)")
 
 
 def test_parse_polynomial_text_is_checked_as_a_candidate():
@@ -212,12 +223,20 @@ def _coprime_pairs(lo, hi):
     )
 
 
+cores = st.one_of(
+    st.sampled_from([UNKNOT, PRETZEL_P237, explicit_alexander(P([1]))]),  # named, and 1 as a candidate
+    _coprime_pairs(2, 5).map(lambda pq: explicit_alexander(torus_alexander(*pq))),
+)
 exprs = st.one_of(
     _coprime_pairs(2, 9).map(lambda pq: torus(*pq)),
     st.integers(3, 7).map(jfamily),
-    st.just(PRETZEL_P237),
-    st.just(UNKNOT),
-    _coprime_pairs(2, 5).map(lambda pq: explicit_alexander(torus_alexander(*pq))),
+    cores,
+    # cables of every core kind, 1 or 2 stages, indices in either order and collapsing at index 1
+    st.builds(
+        lambda core, stages: reduce(lambda knot, pq: cable(knot, *pq), stages, core),
+        cores,
+        st.lists(_coprime_pairs(1, 7), min_size=1, max_size=2),
+    ),
 )
 combos = (
     st.lists(st.tuples(exprs, st.integers(-3, 3).filter(bool)), min_size=1, max_size=4)
@@ -229,6 +248,8 @@ combos = (
 @given(combos)
 def test_parse_str_roundtrip(comb):
     assert parse(str(comb)) == comb
+    for knot, _ in comb.items():
+        assert genus(knot) == alexander(knot).degree // 2
 
 
 # --- Alexander polynomials and genus ---------------------------------------
@@ -259,7 +280,7 @@ def test_genus_examples():
 def test_cable_genus_formula(inner_pq, cable_pq):
     inner = torus(*inner_pq)
     p, q = cable_pq
-    knot = Cable(inner, ((p, q),))
+    knot = cable(inner, p, q)
     expected = p * genus(inner) + (p - 1) * (q - 1) // 2
     assert genus(knot) == expected == alexander(knot).degree // 2
 
@@ -389,23 +410,27 @@ def test_classify_non_towers_are_unknown():
 
 def test_cabling_a_cable_appends_a_stage():
     knot = cable(cable(torus(2, 3), 3, 5), 2, 41)
-    assert knot == Cable(torus(2, 3), ((3, 5), (2, 41)))
+    assert knot == Cable(UNKNOT, ((2, 3), (3, 5), (2, 41)))
     assert parse("C(J(3);2,41)").items() == ((knot, 1),)
     assert str(knot) == "C(C(T(2,3);3,5);2,41)"
     assert tower(knot) == [(2, 3), (3, 5), (2, 41)]
-    assert repr(jfamily(3)) == "Cable(core=Torus(p=2, q=3), stages=((3, 5),))"
+    assert repr(jfamily(3)) == (
+        "Cable(core=ExplicitAlexander(poly=IntPolynomial(terms=((0, 1),)), name='U'), stages=((2, 3), (3, 5)))"
+    )
 
 
 def test_cable_constructor_checks_core_and_stages():
-    for core, stages in [
-        (torus(2, 3), ()),  # no stage: the knot would be its core
-        (jfamily(3), ((2, 41),)),  # a cable core is a second form of a tower
-        (torus(2, 3), ((2, 0),)),
-        (torus(2, 3), ((0, 5),)),
-        (torus(2, 3), ((4, 6),)),
-        (torus(2, 3), ((3, 5), (1, 7))),
+    core_check = "a cable needs stages above a core that is not a cable"
+    for core, stages, message in [
+        (PRETZEL_P237, (), core_check),  # no stage: the knot would be its core
+        (jfamily(3), ((2, 41),), core_check),  # a cable core is a second form of a tower
+        ((2, 3), ((2, 5),), core_check),  # not a knot
+        (PRETZEL_P237, ((2, 0),), "cable index q must be positive"),
+        (PRETZEL_P237, ((0, 5),), "cable index p must be positive"),
+        (PRETZEL_P237, ((4, 6),), "must be coprime"),
+        (PRETZEL_P237, ((3, 5), (1, 7)), "cable nodes need p >= 2"),
     ]:
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match=re.escape(message)):
             Cable(core, stages)
 
 
@@ -458,9 +483,10 @@ def test_tower_gate_builds_no_polynomial(text, genus_, status):
 
 
 def test_tower_of_nested_cables():
-    knot = Cable(torus(2, 3), ((2, 13), (3, 100)))
+    knot = Cable(UNKNOT, ((2, 3), (2, 13), (3, 100)))
     assert knot == cable(cable(torus(2, 3), 2, 13), 3, 100)
     assert tower(knot) == [(2, 3), (2, 13), (3, 100)]
+    assert tower(torus(3, 2)) == [(2, 3)] and tower(UNKNOT) == []  # no stage over the unknot
     with pytest.raises(NotIteratedTorus):
         tower(PRETZEL_P237)
 

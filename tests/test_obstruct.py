@@ -289,8 +289,9 @@ def test_report_certifies_and_builds_the_gap_set_once(monkeypatch, text):
     (knot, _), = parse(text).items()  # a candidate builds its gap set here, to check it
     report = algebraicity_report(knot)
     assert certified == [knot]
-    # the decomposition reads the gap sets of the T(n, n+1) it peels off, never this one again
-    assert read.count(d) == 1
+    # the decomposition reads the gap sets of the T(n, n+1) it peels off, never this one again;
+    # P237 is a named core, built once on import, so the report builds none
+    assert read.count(d) == (0 if text == "P237" else 1)
     assert report == algebraicity_report(knot)  # and the report is unchanged on warm caches
 
 

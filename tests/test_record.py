@@ -1,6 +1,7 @@
 """Value semantics of the frozen record classes."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,8 +10,6 @@ from lspaceknots import (
     IntPolynomial,
     JumpComparison,
     PiecewiseLinear,
-    Torus,
-    UNKNOT,
     cable,
     from_members,
     torus,
@@ -26,6 +25,21 @@ class Pair:
     q: int
 
 
+@frozen
+class Torus:
+    """Sorted coprime indices: a record whose __post_init__ validates and normalises."""
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if gcd(self.p, self.q) != 1:
+            raise ValueError(f"indices ({self.p}, {self.q}) must be coprime")
+        p, q = sorted((self.p, self.q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+
 def test_equality_needs_same_class_and_same_fields():
     assert Torus(2, 3) == Torus(2, 3)
     assert Torus(2, 3) != Torus(2, 5)
@@ -37,7 +51,7 @@ def test_equality_needs_same_class_and_same_fields():
 
 def test_hash_agrees_with_equality():
     a = cable(torus(2, 3), 2, 13)
-    b = cable(Torus(3, 2), 2, 13)
+    b = cable(torus(3, 2), 2, 13)
     assert a is not b and a == b and hash(a) == hash(b)
     assert hash(Torus(2, 3)) == hash((2, 3))  # the hash of the field tuple
     assert hash(IntPolynomial(((0, 1),))) == hash((((0, 1),),))
@@ -87,7 +101,8 @@ def test_bad_arguments_raise_type_error(build):
 def test_post_init_normalises_and_validates():
     assert Torus(3, 2) == Torus(2, 3)
     assert Torus(3, 2).p == 2
-    assert Torus(1, 5) == UNKNOT
+    with pytest.raises(ValueError):
+        Torus(4, 6)
     with pytest.raises(ValueError):
         IntPolynomial(((0, 1), (1, 0)))
     f = PiecewiseLinear((0, 1, 2), 0, (-1, -1))  # equal slopes merge

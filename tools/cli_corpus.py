@@ -10,10 +10,10 @@ stderr or exit code differs.  Exits 1 if any does, 0 otherwise.
 
 The corpus runs every knot subcommand in json, csv and text, each with and
 without --decimal, on the README knots, P237, J(3..10), 3- and 4-stage
-towers, cables of J(3) and P237 on both sides of the L-space bound,
-accepted and rejected alex[...] candidates, polynomial text, combinations
-and the known error paths; then matrix, verify-paper with and without a
-filter, and usage errors.
+towers, cables of J(3) and P237 on both sides of the L-space bound, torus
+knots and cables of the unknot in either index order, accepted and rejected
+alex[...] candidates, polynomial text, combinations and the known error
+paths; then matrix, verify-paper with and without a filter, and usage errors.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ KNOTS = (
     "C(C(C(T(2,3);2,13);3,83);2,501)", "C(C(C(T(2,3);3,16);2,97);2,335)",
     # cables of J(3) and P237, above and below the L-space bound
     "C(J(3);2,41)", "C(P237;2,19)", "C(P237;2,17)",
+    # torus knots and cables of the unknot in either index order, collapsing at index 1
+    "T(3,2)", "C(U;5,3)", "C(U;2,1)",
     # alex[...] candidates: accepted, then failing shape, duality and growth
     "alex[1,-1,0,1,-1,0,1,0,-1,1,0,-1,1]", "alex[1,-1,0,0,0,0,0,0,1,0,0,0,0,0,0,-1,1]", "alex[1,-1,1]",
     "alex[1,-1,0,0,1]", "alex[1,1,1]", "alex[1,0,0,-1,0,0,1]", "alex[2,-1,1]",
+    # the polynomials of U and P237 as unnamed candidates
+    "alex[1]", "alex[1,-1,0,1,-1,1,-1,1,0,-1,1]",
     # polynomial text
     "1 - t + t^2", "1 - t + t^3 - t^5 + t^6", "1 - t^2 + t^3",
     # combinations
@@ -49,6 +53,8 @@ KNOTS = (
     "T(2,3", "Q(1)", "", "C(" * 120 + "T(2,3)" + ";1,1)" * 120,
     # digits to str.isdigit that int() rejects
     "T(²,3)", "t^²",
+    # polynomial text that the polynomial grammar reads further than the knot grammar
+    "t^x",
 )
 
 FORMATS = (("--format", "json"), ("--format", "csv"), ("--format", "text"))
